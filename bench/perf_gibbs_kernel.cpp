@@ -6,15 +6,9 @@
 // Part 2 re-times the pow/log-heavy heterogeneous models (model2..model4)
 // with the SIMD detection kernels (GibbsOptions::vectorized) and reports
 // the scalar-vs-vectorized speedup per cell.
-// Part 3 times the lane-parallel chain executor (GibbsOptions::chain_lanes)
-// for every prior x model cell: steady-state per-chain scan cost with four
-// chains packed into SIMD lanes vs the single-chain scalar cost from
-// part 1, plus the wall time of a complete 4-chain fit at one thread in
-// both modes — the chain-throughput number the lane fork exists for.
-// Part 4 runs the full paper sweep (2 priors x 5 models x 9 observation
+// Part 3 runs the full paper sweep (2 priors x 5 models x 9 observation
 // days) single-threaded in both modes and compares the scalar wall time
-// against the pre-kernel baseline recorded in BENCH_runtime.json
-// (63466.1 ms at threads=1).
+// against the pre-kernel baseline (63466.1 ms at threads=1).
 //
 // Output: a human-readable summary on stdout plus machine-readable JSON in
 // BENCH_gibbs.json (or the path given as argv[1]).
@@ -29,14 +23,12 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/bayes_srm.hpp"
 #include "core/detection_simd.hpp"
-#include "core/lane_kernels.hpp"
 #include "core/model_family.hpp"
 #include "data/datasets.hpp"
 #include "mcmc/gibbs.hpp"
@@ -47,7 +39,7 @@
 namespace {
 
 /// Single-thread full-sweep wall time of the pre-kernel implementation
-/// (BENCH_runtime.json, commit 72dd8dc, threads=1).
+/// (commit 72dd8dc, threads=1).
 constexpr double kBaselineSweepWallMs = 63466.1;
 
 struct KernelSample {
@@ -101,17 +93,6 @@ FamilySample time_family_kernel(const srm::core::ModelFamily& family,
   return s;
 }
 
-/// One prior x model cell of the lane-executor comparison: per-chain scan
-/// cost solo vs packed, and 4-chain fit wall time sequential vs packed.
-struct LaneSample {
-  std::string prior;
-  int model_id = 0;
-  double scalar_us = 0.0;      ///< 1-chain scalar us/scan (part 1)
-  double lanes_us = 0.0;       ///< per-chain us/scan, 4 chains in lanes
-  double fit_scalar_ms = 0.0;  ///< 4-chain fit wall, scalar sequential
-  double fit_lanes_ms = 0.0;   ///< 4-chain fit wall, --chain-lanes
-};
-
 KernelSample time_kernel(srm::core::PriorKind prior, int model_id,
                          const srm::data::BugCountData& data, int warmup,
                          int iters, bool vectorized = false) {
@@ -138,76 +119,6 @@ KernelSample time_kernel(srm::core::PriorKind prior, int model_id,
   return s;
 }
 
-/// Steady-state per-chain scan cost with four chains packed into lanes.
-double time_lane_scans(srm::core::PriorKind prior, int model_id,
-                       const srm::data::BugCountData& data, int warmup,
-                       int iters) {
-  const srm::core::BayesianSrm model(
-      prior, static_cast<srm::core::DetectionModelKind>(model_id), data, {},
-      false);
-  constexpr std::size_t kLanes = srm::core::lane_kernels::kChainLanes;
-  std::vector<srm::random::Rng> rngs;
-  std::vector<std::vector<double>> states(kLanes);
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    rngs.emplace_back(42 + l);
-  }
-  std::vector<double>* state_ptrs[kLanes];
-  srm::random::Rng* rng_ptrs[kLanes];
-  for (std::size_t l = 0; l < kLanes; ++l) {
-    states[l] = model.initial_state(rngs[l]);
-    state_ptrs[l] = &states[l];
-    rng_ptrs[l] = &rngs[l];
-  }
-  const auto workspace = model.make_lane_workspace(kLanes);
-  for (int i = 0; i < warmup; ++i) {
-    model.update_lanes(kLanes, state_ptrs, rng_ptrs, *workspace);
-  }
-  const auto start = std::chrono::steady_clock::now();
-  for (int i = 0; i < iters; ++i) {
-    model.update_lanes(kLanes, state_ptrs, rng_ptrs, *workspace);
-  }
-  const auto stop = std::chrono::steady_clock::now();
-  const double sec = std::chrono::duration<double>(stop - start).count();
-  // Per-chain cost: one packed scan advances all kLanes chains.
-  return 1e6 * sec /
-         static_cast<double>(iters) / static_cast<double>(kLanes);
-}
-
-/// Wall time of a complete 4-chain fit at one thread: best of `reps`
-/// identical runs. A whole fit is only ~50-350 ms, so a single sample is
-/// at the mercy of scheduler noise on a shared 1-core box; the minimum
-/// over repetitions is the standard estimator for the workload's actual
-/// cost, applied symmetrically to the scalar and lane modes.
-double time_fit(srm::core::PriorKind prior, int model_id,
-                const srm::data::BugCountData& data, bool chain_lanes,
-                std::size_t burn_in, std::size_t iterations,
-                int reps) {
-  const srm::core::BayesianSrm model(
-      prior, static_cast<srm::core::DetectionModelKind>(model_id), data, {},
-      false);
-  srm::mcmc::GibbsOptions options;
-  options.chain_count = 4;
-  options.burn_in = burn_in;
-  options.iterations = iterations;
-  options.seed = 20240624;
-  options.parallel_chains = false;  // the --threads 1 comparison
-  options.keep_traces = false;
-  options.chain_lanes = chain_lanes;
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    const auto run = srm::mcmc::run_gibbs(model, options);
-    const auto stop = std::chrono::steady_clock::now();
-    if (run.chain_count() != 4) {
-      std::cerr << "fit produced an unexpected chain count\n";
-      std::exit(1);
-    }
-    best = std::min(
-        best, std::chrono::duration<double, std::milli>(stop - start).count());
-  }
-  return best;
-}
-
 double time_sweep(const srm::data::BugCountData& data,
                   const srm::report::SweepOptions& options,
                   std::size_t threads) {
@@ -226,7 +137,7 @@ double time_sweep(const srm::data::BugCountData& data,
 std::string to_json(const std::vector<KernelSample>& kernel,
                     const std::vector<FamilySample>& families,
                     const std::vector<SimdSample>& simd,
-                    const std::vector<LaneSample>& lanes, bool smoke,
+                    bool smoke,
                     std::size_t sweep_threads, double sweep_wall_ms,
                     double simd_sweep_wall_ms,
                     const std::vector<std::string>& warnings) {
@@ -271,23 +182,6 @@ std::string to_json(const std::vector<KernelSample>& kernel,
       << ", \"scalar_wall_ms\": " << sweep_wall_ms
       << ", \"vectorized_wall_ms\": " << simd_sweep_wall_ms
       << ", \"speedup\": " << sweep_wall_ms / simd_sweep_wall_ms << "}\n"
-      << "  },\n"
-      << "  \"chain_lanes\": {\n"
-      << "    \"isa\": \"" << srm::core::lane_kernels::isa_name() << "\",\n"
-      << "    \"kernel\": [\n";
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    const auto& s = lanes[i];
-    out << "      {\"prior\": \"" << s.prior
-        << "\", \"model\": " << s.model_id
-        << ", \"scalar_us_per_scan\": " << s.scalar_us
-        << ", \"lanes_us_per_chain_scan\": " << s.lanes_us
-        << ", \"scan_speedup\": " << s.scalar_us / s.lanes_us
-        << ", \"fit_scalar_wall_ms\": " << s.fit_scalar_ms
-        << ", \"fit_lanes_wall_ms\": " << s.fit_lanes_ms
-        << ", \"fit_speedup\": " << s.fit_scalar_ms / s.fit_lanes_ms << "}"
-        << (i + 1 < lanes.size() ? "," : "") << "\n";
-  }
-  out << "    ]\n"
       << "  },\n"
       << "  \"sweep\": {\"threads\": " << sweep_threads << ", \"wall_ms\": "
       << sweep_wall_ms;
@@ -385,43 +279,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The lane executor reroutes EVERY model (cross-chain batching does not
-  // care about per-day kernel width), so all ten paper cells are timed.
-  std::cout << "lane-parallel chains (isa="
-            << srm::core::lane_kernels::isa_name()
-            << ", --chain-lanes fork, 4 chains packed, models 0-4)\n";
-  const std::size_t fit_burn = smoke ? 20 : 200;
-  const std::size_t fit_iters = smoke ? 50 : 800;
-  const int fit_reps = smoke ? 1 : 5;
-  std::vector<LaneSample> lanes;
-  for (const auto prior : {srm::core::PriorKind::kPoisson,
-                           srm::core::PriorKind::kNegativeBinomial}) {
-    for (int model_id = 0; model_id <= 4; ++model_id) {
-      LaneSample s;
-      s.prior = srm::core::to_string(prior);
-      s.model_id = model_id;
-      for (const auto& k : kernel) {
-        if (k.prior == s.prior && k.model_id == model_id) {
-          s.scalar_us = k.us_per_scan;
-        }
-      }
-      s.lanes_us = time_lane_scans(prior, model_id, data, warmup, iters);
-      s.fit_scalar_ms =
-          time_fit(prior, model_id, data, false, fit_burn, fit_iters,
-                   fit_reps);
-      s.fit_lanes_ms =
-          time_fit(prior, model_id, data, true, fit_burn, fit_iters,
-                   fit_reps);
-      lanes.push_back(s);
-      std::cout << "  prior=" << s.prior << " model=" << s.model_id
-                << "  scalar=" << s.scalar_us << " us/chain-scan  lanes="
-                << s.lanes_us << " us/chain-scan  scan-speedup="
-                << s.scalar_us / s.lanes_us << "x  4-chain fit "
-                << s.fit_scalar_ms << "ms -> " << s.fit_lanes_ms
-                << "ms (" << s.fit_scalar_ms / s.fit_lanes_ms << "x)\n";
-    }
-  }
-
   std::vector<std::string> warnings;
   const std::size_t cores = srm::runtime::ThreadPool::default_thread_count();
   if (sweep_threads > cores) {
@@ -462,7 +319,7 @@ int main(int argc, char** argv) {
     std::cerr << "cannot write " << output_path << "\n";
     return 1;
   }
-  out << to_json(kernel, families, simd, lanes, smoke, sweep_threads,
+  out << to_json(kernel, families, simd, smoke, sweep_threads,
                  sweep_wall_ms, simd_sweep_wall_ms, warnings);
   std::cout << "wrote " << output_path << "\n";
   return 0;

@@ -61,7 +61,6 @@ Json to_json(const mcmc::GibbsOptions& gibbs) {
   // Omit-if-false so artifacts written by scalar runs keep their exact
   // pre-flag bytes (resume diffs them byte for byte).
   if (gibbs.vectorized) json.set("vectorized", true);
-  if (gibbs.chain_lanes) json.set("chain_lanes", true);
   return json;
 }
 
@@ -78,8 +77,11 @@ mcmc::GibbsOptions gibbs_options_from_json(const Json& json) {
   if (const Json* vectorized = json.find("vectorized")) {
     gibbs.vectorized = vectorized->as_bool();
   }
-  if (const Json* lanes = json.find("chain_lanes")) {
-    gibbs.chain_lanes = lanes->as_bool();
+  // Artifacts of the retired lane-parallel executor: their draws came from
+  // a different kernel, so reading one back as a scalar spec would be a
+  // silent identity change.
+  if (json.find("chain_lanes") != nullptr) {
+    throw InvalidArgument("unsupported: chain_lanes");
   }
   return gibbs;
 }

@@ -19,6 +19,8 @@ using support::Json;
 
 // --- spec types -----------------------------------------------------------
 Json to_json(const mcmc::GibbsOptions& gibbs);
+/// Throws support::InvalidArgument on specs written by the retired
+/// lane-parallel executor, which carry its flag.
 mcmc::GibbsOptions gibbs_options_from_json(const Json& json);
 
 Json to_json(const core::HyperPriorConfig& config);

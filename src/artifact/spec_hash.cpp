@@ -30,10 +30,6 @@ Json canonical_gibbs(const mcmc::GibbsOptions& gibbs) {
   // pinned hash) of releases that predate the flag, while vectorized runs
   // land in distinct cells — SIMD arithmetic forks the draws.
   if (gibbs.vectorized) json.set("vectorized", true);
-  // chain_lanes is likewise its own identity fork: the lane transcendentals
-  // differ from the scalar path's at the ULP level, so packed runs get a
-  // distinct cell while lanes-off runs keep their exact pre-flag hashes.
-  if (gibbs.chain_lanes) json.set("chain_lanes", true);
   return json;
 }
 

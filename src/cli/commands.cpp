@@ -112,13 +112,10 @@ mcmc::GibbsOptions parse_gibbs(const Args& args) {
   // Every reported number is bit-identical between the streaming and the
   // stored-trace path, so the CLI defaults to streaming (O(1) memory in the
   // retained draw count); --keep-traces restores full chain storage.
-  // Commands that consume the raw run (predict, release) force it back on.
+  // The core helpers behind predict and release keep traces on their own.
   gibbs.keep_traces = args.has("keep-traces");
   // Opt-in SIMD batch kernels; forks result identity (see GibbsOptions).
   gibbs.vectorized = args.has("vectorized");
-  // Opt-in lane-parallel chain executor; its own identity fork, orthogonal
-  // to --vectorized (see GibbsOptions::chain_lanes).
-  gibbs.chain_lanes = args.has("chain-lanes");
   return gibbs;
 }
 
@@ -237,10 +234,7 @@ int run_select(const Args& args, std::ostream& out) {
   // identity fork are excluded from that fork's grid (they have no sampler
   // for it), keeping the fork runs deterministic.
   for (const auto& entry : core::model_families().families()) {
-    if ((gibbs.vectorized && !entry.supports_vectorized) ||
-        (gibbs.chain_lanes && !entry.supports_chain_lanes)) {
-      continue;
-    }
+    if (gibbs.vectorized && !entry.supports_vectorized) continue;
     for (const auto kind : entry.selection_models) {
       const auto model = core::make_model(entry.kind, kind, data, config,
                                           gibbs);
@@ -333,9 +327,7 @@ int run_predict(const Args& args, std::ostream& out) {
   const auto prior = parse_prior(args);
   const auto model = parse_model(args, prior);
   const auto config = parse_config(args);
-  auto gibbs = parse_gibbs(args);
-  // The holdout scorer walks the raw chains itself.
-  gibbs.keep_traces = true;
+  const auto gibbs = parse_gibbs(args);
   reject_unused(args);
 
   const auto summary = core::fit_and_score_holdout(data, fit_days, prior,
@@ -440,9 +432,7 @@ int run_release(const Args& args, std::ostream& out) {
   const auto prior = parse_prior(args);
   const auto kind = parse_model(args, prior);
   const auto config = parse_config(args);
-  auto gibbs = parse_gibbs(args);
-  // plan_release resamples from the stored run, so traces are required.
-  gibbs.keep_traces = true;
+  const auto gibbs = parse_gibbs(args);
   core::ReleaseCosts costs;
   costs.cost_per_testing_day = args.get_double("day-cost", 1.0);
   costs.cost_per_residual_bug = args.get_double("bug-cost", 50.0);
@@ -450,15 +440,14 @@ int run_release(const Args& args, std::ostream& out) {
       static_cast<std::size_t>(args.get_int("horizon", 60));
   reject_unused(args);
 
-  const auto model = core::make_model(prior, kind, data, config, gibbs);
-  const auto run = mcmc::run_gibbs(*model, gibbs);
+  const auto [run, plan] = core::fit_and_plan_release(data, prior, kind, config,
+                                                     gibbs, horizon, costs);
   const auto posterior = core::summarize_residual_posterior(run);
   const auto [lo, hi] = posterior.credible_interval(0.95);
   out << "residual bugs today (day " << data.days() << "): mean "
       << support::format_double(posterior.summary.mean, 2) << ", 95% CI ["
       << lo << ", " << hi << "]\n";
 
-  const auto plan = core::plan_release(*model, run, horizon, costs);
   support::Table t("release schedule");
   t.set_header({"day", "E[residual]", "E[cost]"});
   for (const auto& decision : plan.schedule) {
@@ -503,7 +492,6 @@ int run_sweep(const Args& args, std::ostream& out) {
       args.get_int("seed", static_cast<std::int64_t>(options.gibbs.seed)));
   if (args.has("keep-traces")) options.gibbs.keep_traces = true;
   if (args.has("vectorized")) options.gibbs.vectorized = true;
-  if (args.has("chain-lanes")) options.gibbs.chain_lanes = true;
   options.base_config.lambda_max =
       args.get_double("lambda-max", options.base_config.lambda_max);
   options.base_config.alpha_max =
@@ -583,11 +571,8 @@ int run_families(const Args& args, std::ostream& out) {
       if (!hyper.empty()) hyper += ' ';
       hyper += name;
     }
-    std::string forks;
-    if (entry.supports_vectorized) forks += "vectorized ";
-    if (entry.supports_chain_lanes) forks += "chain-lanes";
-    if (forks.empty()) forks = "scalar only";
-    t.add_row({entry.id, entry.display_name, models, hyper, forks});
+    t.add_row({entry.id, entry.display_name, models, hyper,
+               entry.supports_vectorized ? "vectorized" : "scalar only"});
   }
   out << t.render();
   return 0;
@@ -636,10 +621,6 @@ std::string usage() {
       "  --vectorized    SIMD detection kernels for model2/3/4 (faster, but\n"
       "                  draws differ from scalar at the ULP level, so\n"
       "                  artifact/serve hashes change with this flag)\n"
-      "  --chain-lanes   run up to 4 chains packed in SIMD lanes (every\n"
-      "                  model; per-chain draws identical for any lane or\n"
-      "                  thread count, but a fork from the scalar path, so\n"
-      "                  hashes change with this flag too)\n"
       "  --lambda-max, --alpha-max, --theta-max, --jeffreys,\n"
       "  --threads N  worker threads for chains/sweeps/scoring\n"
       "               (0 = all hardware threads; SRM_THREADS env also works;\n"

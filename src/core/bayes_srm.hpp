@@ -32,7 +32,7 @@
 
 namespace srm::core {
 
-class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
+class BayesianSrm final : public SrmModel {
  public:
   /// `vectorized` routes the detection batch channels and the pointwise
   /// log-likelihood fill through the support/simd kernels (models that
@@ -61,27 +61,6 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
     std::vector<double> log_1mp;        ///< log(1-p_i) sweep (vectorized)
   };
 
-  /// Shared scratch for a pack of up to kChainLanes chains advancing in
-  /// SIMD lanes (GibbsOptions::chain_lanes). The zeta/probe/proposal
-  /// blocks are parameter-major SoA (`[param * lane_width + lane]`), the
-  /// detection channels day-major SoA with the same stride, and the
-  /// observation columns are cached as exact doubles so the masked lane
-  /// reductions never re-convert. Like Workspace, it carries no sampler
-  /// state.
-  class LaneWorkspace final : public mcmc::GibbsWorkspace {
-   public:
-    LaneWorkspace(const BayesianSrm& model, std::size_t lane_count);
-
-   private:
-    friend class BayesianSrm;
-    std::size_t lane_count;             ///< chains actually packed (1..4)
-    std::vector<double> zeta_soa;       ///< zeta blocks under update
-    std::vector<double> probe_soa;      ///< zeta with one coordinate probed
-    std::vector<double> proposal_soa;   ///< mode-jump candidates
-    std::vector<double> probabilities;  ///< p channel, day-major SoA
-    std::vector<double> log_survivals;  ///< log q channel, day-major SoA
-  };
-
   // --- mcmc::GibbsModel -------------------------------------------------
   [[nodiscard]] std::vector<std::string> parameter_names() const override;
   [[nodiscard]] std::vector<double> initial_state(
@@ -91,15 +70,6 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
   void update(std::vector<double>& state, random::Rng& rng,
               mcmc::GibbsWorkspace* workspace) const override;
   using mcmc::GibbsModel::update;
-
-  // --- mcmc::LaneGibbsModel (see src/core/bayes_srm_lanes.cpp) ----------
-  [[nodiscard]] std::size_t lane_width() const override;
-  [[nodiscard]] std::unique_ptr<mcmc::GibbsWorkspace> make_lane_workspace(
-      std::size_t lane_count) const override;
-  void update_lanes(std::size_t lane_count,
-                    std::vector<double>* const* states,
-                    random::Rng* const* rngs,
-                    mcmc::GibbsWorkspace& workspace) const override;
 
   // --- core::SrmModel ----------------------------------------------------
   [[nodiscard]] PriorKind family() const override { return prior_; }
@@ -183,28 +153,6 @@ class BayesianSrm final : public SrmModel, public mcmc::LaneGibbsModel {
 
   [[nodiscard]] std::int64_t initial_bugs_of(
       std::span<const double> state) const;
-
-  // --- lane-parallel scan internals (src/core/bayes_srm_lanes.cpp) ------
-  /// prod q_i per lane at ws.zeta_soa, through the lane detection channel.
-  void lane_survivals(LaneWorkspace& ws, double* survivals) const;
-  /// Collapsed marginal log-density of each lane's zeta block in
-  /// `zeta_soa` (the lane analogue of update_zeta_collapsed's
-  /// log_density_of). Only lanes in `active` are written; `states` supplies
-  /// the per-lane NB hyperparameters.
-  void collapsed_density_lanes(const double* zeta_soa, unsigned active,
-                               std::vector<double>* const* states,
-                               LaneWorkspace& ws, double* out) const;
-  void update_zeta_collapsed_lanes(std::vector<double>* const* states,
-                                   random::Rng* const* rngs,
-                                   LaneWorkspace& ws) const;
-  void update_zeta_lanes(std::vector<double>* const* states,
-                         random::Rng* const* rngs, LaneWorkspace& ws) const;
-  /// Per-lane scalar port of update_hyperparameters_collapsed with the
-  /// survival product supplied by the lane channel (the scalar version
-  /// recomputes it; the value is RNG-free so reuse cannot shift draws).
-  void update_hyperparameters_collapsed_lane(std::vector<double>& state,
-                                             random::Rng& rng,
-                                             double survival) const;
 
   /// Shared tail of the pointwise fills: combines the fresh probability
   /// buffer in `workspace` into per-day log-likelihood terms. The scalar

@@ -41,7 +41,6 @@ void register_poisson_family(ModelFamilyRegistry& registry) {
   family.hyper_parameter_names = {"lambda0"};
   family.tuned_scale = TunedScale::kLambdaMax;
   family.supports_vectorized = true;
-  family.supports_chain_lanes = true;
   family.make = [](DetectionModelKind model, data::BugCountData data,
                    const HyperPriorConfig& config,
                    bool vectorized) -> std::unique_ptr<SrmModel> {
@@ -72,7 +71,6 @@ void register_negative_binomial_family(ModelFamilyRegistry& registry) {
   family.hyper_parameter_names = {"alpha0", "beta0"};
   family.tuned_scale = TunedScale::kAlphaMax;
   family.supports_vectorized = true;
-  family.supports_chain_lanes = true;
   family.make = [](DetectionModelKind model, data::BugCountData data,
                    const HyperPriorConfig& config,
                    bool vectorized) -> std::unique_ptr<SrmModel> {
@@ -203,10 +201,6 @@ void validate_family_gibbs(PriorKind prior,
     throw InvalidArgument("family " + entry.id +
                           " does not implement the --vectorized fork");
   }
-  if (gibbs.chain_lanes && !entry.supports_chain_lanes) {
-    throw InvalidArgument("family " + entry.id +
-                          " does not implement the --chain-lanes fork");
-  }
 }
 
 std::unique_ptr<SrmModel> make_model(PriorKind prior,
@@ -253,15 +247,7 @@ std::string render_family_table_markdown() {
       table += '`';
     }
     table += " | ";
-    if (entry.supports_vectorized && entry.supports_chain_lanes) {
-      table += "vectorized, chain-lanes";
-    } else if (entry.supports_vectorized) {
-      table += "vectorized";
-    } else if (entry.supports_chain_lanes) {
-      table += "chain-lanes";
-    } else {
-      table += "scalar only";
-    }
+    table += entry.supports_vectorized ? "vectorized" : "scalar only";
     table += " | ";
     table += entry.reference;
     table += " |\n";

@@ -113,9 +113,11 @@ PredictiveSummary fit_and_score_holdout(const data::BugCountData& full,
                                         const mcmc::GibbsOptions& gibbs) {
   SRM_EXPECTS(fit_days >= 1 && fit_days < full.days(),
               "fit window must be a strict prefix");
+  mcmc::GibbsOptions traced = gibbs;
+  traced.keep_traces = true;
   const auto model =
-      make_model(prior, model_kind, full.truncated(fit_days), config, gibbs);
-  const auto run = mcmc::run_gibbs(*model, gibbs);
+      make_model(prior, model_kind, full.truncated(fit_days), config, traced);
+  const auto run = mcmc::run_gibbs(*model, traced);
   return score_holdout(*model, run, full);
 }
 

@@ -43,7 +43,9 @@ PredictiveSummary score_holdout(const SrmModel& model,
                                 const mcmc::McmcRun& run,
                                 const data::BugCountData& full);
 
-/// Convenience: truncate, fit by Gibbs, and score in one call.
+/// Convenience: truncate, fit by Gibbs, and score in one call. The scorer
+/// walks the raw chains, so the fit always keeps its traces whatever
+/// `gibbs.keep_traces` says (the flag never changes the draws).
 PredictiveSummary fit_and_score_holdout(const data::BugCountData& full,
                                         std::size_t fit_days, PriorKind prior,
                                         DetectionModelKind model_kind,

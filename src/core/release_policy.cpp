@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -64,6 +65,22 @@ ReleasePlan plan_release(const SrmModel& model, const mcmc::McmcRun& run,
     }
   }
   return plan;
+}
+
+ReleaseFit fit_and_plan_release(const data::BugCountData& data,
+                                PriorKind prior, DetectionModelKind model_kind,
+                                const HyperPriorConfig& config,
+                                const mcmc::GibbsOptions& gibbs,
+                                std::size_t horizon,
+                                const ReleaseCosts& costs) {
+  // Checked before the fit so a bad horizon never costs a Gibbs run.
+  SRM_EXPECTS(horizon >= 1, "plan_release requires horizon >= 1");
+  mcmc::GibbsOptions traced = gibbs;
+  traced.keep_traces = true;
+  const auto model = make_model(prior, model_kind, data, config, traced);
+  auto run = mcmc::run_gibbs(*model, traced);
+  auto plan = plan_release(*model, run, horizon, costs);
+  return {std::move(run), std::move(plan)};
 }
 
 }  // namespace srm::core

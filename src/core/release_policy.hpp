@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/model_family.hpp"
+#include "data/bug_count_data.hpp"
 #include "mcmc/trace.hpp"
 
 namespace srm::core {
@@ -40,5 +41,22 @@ struct ReleasePlan {
 /// data. Horizon must be >= 1.
 ReleasePlan plan_release(const SrmModel& model, const mcmc::McmcRun& run,
                          std::size_t horizon, const ReleaseCosts& costs);
+
+/// A Gibbs fit together with the release plan drawn from it.
+struct ReleaseFit {
+  mcmc::McmcRun run;
+  ReleasePlan plan;
+};
+
+/// Builds the family's model on `data`, fits it by Gibbs and plans the
+/// release from the stored run. plan_release walks the raw chains, so the
+/// fit always keeps its traces whatever `gibbs.keep_traces` says (the flag
+/// never changes the draws).
+ReleaseFit fit_and_plan_release(const data::BugCountData& data,
+                                PriorKind prior, DetectionModelKind model_kind,
+                                const HyperPriorConfig& config,
+                                const mcmc::GibbsOptions& gibbs,
+                                std::size_t horizon,
+                                const ReleaseCosts& costs);
 
 }  // namespace srm::core

@@ -433,7 +433,6 @@ void register_size_biased_family(ModelFamilyRegistry& registry) {
   family.hyper_parameter_names = {"lambda0"};
   family.tuned_scale = TunedScale::kLambdaMax;
   family.supports_vectorized = false;
-  family.supports_chain_lanes = false;
   family.make = [](DetectionModelKind model, data::BugCountData data,
                    const HyperPriorConfig& config,
                    bool vectorized) -> std::unique_ptr<SrmModel> {

@@ -55,7 +55,7 @@ class WaicAccumulator {
 /// the pointwise log-likelihood row through the model's type-erased
 /// pointwise_row channel (falling back to a model-made workspace when the
 /// sampler's workspace is not the model's own scan type, e.g. stored-trace
-/// replay or a lane pack) and streams it into a WaicAccumulator. With
+/// replay) and streams it into a WaicAccumulator. With
 /// `keep_matrix` it additionally retains the flat k x S matrix PSIS-LOO's
 /// tail fits need, laid out exactly like pointwise_log_likelihood_matrix.
 class StreamingScorer final : public mcmc::PosteriorAccumulator {

@@ -83,8 +83,7 @@ mcmc::GibbsOptions parse_gibbs(const Json* value) {
   if (value == nullptr) return gibbs;
   reject_unknown_members(
       *value, "gibbs",
-      {"chains", "burn_in", "iterations", "thin", "seed", "vectorized",
-       "chain_lanes"});
+      {"chains", "burn_in", "iterations", "thin", "seed", "vectorized"});
   gibbs.chain_count = member_size(*value, "chains", gibbs.chain_count);
   gibbs.burn_in = member_size(*value, "burn_in", gibbs.burn_in);
   gibbs.iterations = member_size(*value, "iterations", gibbs.iterations);
@@ -97,11 +96,6 @@ mcmc::GibbsOptions parse_gibbs(const Json* value) {
   if (const Json* vectorized = value->find("vectorized");
       vectorized != nullptr) {
     gibbs.vectorized = vectorized->as_bool();
-  }
-  // Same treatment for the lane-parallel executor: its draws fork from the
-  // scalar path's, so packed requests must land in their own cache cells.
-  if (const Json* lanes = value->find("chain_lanes"); lanes != nullptr) {
-    gibbs.chain_lanes = lanes->as_bool();
   }
   SRM_EXPECTS(gibbs.chain_count >= 1, "gibbs.chains must be >= 1");
   SRM_EXPECTS(gibbs.iterations >= 1, "gibbs.iterations must be >= 1");
@@ -172,7 +166,6 @@ Json canonical_gibbs(const mcmc::GibbsOptions& gibbs) {
   // Omit-if-false, mirroring the artifact layer: scalar requests keep
   // their pre-flag identity bytes, vectorized ones get distinct cells.
   if (gibbs.vectorized) json.set("vectorized", true);
-  if (gibbs.chain_lanes) json.set("chain_lanes", true);
   return json;
 }
 

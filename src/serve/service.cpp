@@ -10,7 +10,6 @@
 #include "artifact/serialize.hpp"
 #include "artifact/spec_hash.hpp"
 #include "core/experiment.hpp"
-#include "mcmc/gibbs.hpp"
 #include "runtime/task_group.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
@@ -36,11 +35,9 @@ Json fit_envelope(const data::BugCountData& project,
 }
 
 Json predict_envelope(const Request& request, const std::string& hash) {
-  auto gibbs = request.fit.gibbs;
-  gibbs.keep_traces = true;  // the holdout scorer walks the raw chains
   const auto summary = core::fit_and_score_holdout(
       request.project, request.fit_days, request.fit.prior, request.fit.model,
-      request.fit.config, gibbs);
+      request.fit.config, request.fit.gibbs);
   Json cell = Json::Object{};
   cell.set("schema_version", artifact::kSchemaVersion);
   cell.set("hash", hash);
@@ -50,16 +47,14 @@ Json predict_envelope(const Request& request, const std::string& hash) {
 }
 
 Json release_envelope(const Request& request, const std::string& hash) {
-  auto gibbs = request.fit.gibbs;
-  gibbs.keep_traces = true;  // plan_release resamples from the stored run
   const auto observed = core::dataset_at_observation(
       request.project, request.fit.observation_day);
-  const auto model =
-      core::make_model(request.fit.prior, request.fit.model, observed,
-                       request.fit.config, gibbs);
-  const auto run = mcmc::run_gibbs(*model, gibbs);
-  const auto plan = core::plan_release(*model, run, request.horizon,
-                                       request.costs);
+  const auto plan =
+      core::fit_and_plan_release(observed, request.fit.prior,
+                                 request.fit.model, request.fit.config,
+                                 request.fit.gibbs, request.horizon,
+                                 request.costs)
+          .plan;
   Json cell = Json::Object{};
   cell.set("schema_version", artifact::kSchemaVersion);
   cell.set("hash", hash);
@@ -73,15 +68,12 @@ Json release_envelope(const Request& request, const std::string& hash) {
 
 /// The grid a select request expands to, in deterministic registry order:
 /// every registered family's selection models. Families that lack a
-/// requested result-identity fork (vectorized / chain lanes) are skipped,
+/// requested vectorized result-identity fork are skipped,
 /// mirroring the CLI's select command.
 std::vector<core::FitRequest> select_grid(const Request& request) {
   std::vector<core::FitRequest> grid;
   for (const auto& entry : core::model_families().families()) {
     if (request.fit.gibbs.vectorized && !entry.supports_vectorized) continue;
-    if (request.fit.gibbs.chain_lanes && !entry.supports_chain_lanes) {
-      continue;
-    }
     for (const auto model : entry.selection_models) {
       core::FitRequest fit = request.fit;
       fit.prior = entry.kind;

@@ -186,7 +186,6 @@ TEST(ArtifactSerialize, GibbsOptionsRoundTripIncludingFullRangeSeed) {
   gibbs.parallel_chains = false;
   gibbs.keep_traces = true;
   gibbs.vectorized = true;
-  gibbs.chain_lanes = true;
   for (const auto seed :
        {std::uint64_t{0}, std::uint64_t{20240624},
         std::numeric_limits<std::uint64_t>::max()}) {
@@ -201,7 +200,6 @@ TEST(ArtifactSerialize, GibbsOptionsRoundTripIncludingFullRangeSeed) {
     EXPECT_EQ(back.parallel_chains, gibbs.parallel_chains);
     EXPECT_EQ(back.keep_traces, gibbs.keep_traces);
     EXPECT_EQ(back.vectorized, gibbs.vectorized);
-    EXPECT_EQ(back.chain_lanes, gibbs.chain_lanes);
   }
 }
 
@@ -223,21 +221,19 @@ TEST(ArtifactSerialize, GibbsVectorizedIsOmitIfFalse) {
   EXPECT_TRUE(vec_json.find("vectorized")->as_bool());
 }
 
-TEST(ArtifactSerialize, GibbsChainLanesIsOmitIfFalse) {
-  // The lane executor shares the vectorized flag's compatibility contract:
-  // absent by default, so pre-lane artifacts parse (and hash) unchanged.
-  mcmc::GibbsOptions scalar;
-  const Json scalar_json = artifact::to_json(scalar);
-  EXPECT_EQ(scalar_json.find("chain_lanes"), nullptr);
-  const auto legacy =
-      artifact::gibbs_options_from_json(Json::parse(scalar_json.dump()));
-  EXPECT_FALSE(legacy.chain_lanes);
-
-  mcmc::GibbsOptions lanes;
-  lanes.chain_lanes = true;
-  const Json lanes_json = artifact::to_json(lanes);
-  ASSERT_NE(lanes_json.find("chain_lanes"), nullptr);
-  EXPECT_TRUE(lanes_json.find("chain_lanes")->as_bool());
+TEST(ArtifactSerialize, RetiredChainLanesKeyIsRejected) {
+  // Specs written by the retired lane-parallel executor must not read back
+  // as scalar specs: their draws came from a different kernel.
+  Json lanes_json = artifact::to_json(mcmc::GibbsOptions{});
+  lanes_json.set("chain_lanes", true);
+  try {
+    (void)artifact::gibbs_options_from_json(Json::parse(lanes_json.dump()));
+    FAIL() << "a stored chain_lanes key was accepted";
+  } catch (const srm::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported: chain_lanes"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ArtifactSerialize, SweepOptionsRoundTripWithOverrides) {

@@ -105,20 +105,6 @@ TEST(SpecHash, ResultDeterminingFieldsAreCovered) {
   EXPECT_NE(artifact::cell_hash(toy(), changed, 5), reference);
 
   changed = spec;
-  changed.gibbs.chain_lanes = true;
-  EXPECT_NE(artifact::cell_hash(toy(), changed, 5), reference);
-
-  // The two identity forks are independent axes: each combination of the
-  // flags is its own cell.
-  changed = spec;
-  changed.gibbs.vectorized = true;
-  changed.gibbs.chain_lanes = true;
-  auto lanes_only = spec;
-  lanes_only.gibbs.chain_lanes = true;
-  EXPECT_NE(artifact::cell_hash(toy(), changed, 5),
-            artifact::cell_hash(toy(), lanes_only, 5));
-
-  changed = spec;
   changed.eventual_total += 1;
   EXPECT_NE(artifact::cell_hash(toy(), changed, 5), reference);
 
@@ -135,14 +121,6 @@ TEST(SpecHash, VectorizedFalseKeepsTheLegacyIdentity) {
   // reachable. Only vectorized=true forks the cell.
   auto spec = base_spec();
   spec.gibbs.vectorized = false;
-  EXPECT_EQ(artifact::cell_hash(toy(), spec, 5), "04012f2585e2ffd9");
-}
-
-TEST(SpecHash, ChainLanesFalseKeepsTheLegacyIdentity) {
-  // Same omit-if-false contract for the lane-parallel executor: the
-  // default keeps every pre-lane artifact reachable at its pinned hash.
-  auto spec = base_spec();
-  spec.gibbs.chain_lanes = false;
   EXPECT_EQ(artifact::cell_hash(toy(), spec, 5), "04012f2585e2ffd9");
 }
 

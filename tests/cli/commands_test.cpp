@@ -213,6 +213,17 @@ TEST(Cli, UnknownFlagFails) {
   EXPECT_NE(result.err.find("bogus"), std::string::npos);
 }
 
+TEST(Cli, RetiredChainLanesFlagFailsLoudly) {
+  // The lane-parallel executor is gone; its flag must be refused, never
+  // silently ignored (which would hand back scalar output for a lane run).
+  const auto result =
+      run("fit", {"--csv", "sys1", "--days", "48", "--iterations", "20",
+                  "--burn-in", "10", "--chain-lanes"});
+  EXPECT_NE(result.code, 0);
+  EXPECT_NE(result.err.find("unknown flag --chain-lanes"), std::string::npos)
+      << result.err;
+}
+
 TEST(Cli, MissingCsvFails) {
   const auto result = run("fit", {});
   EXPECT_EQ(result.code, 2);

@@ -167,12 +167,6 @@ TEST(ModelFamilyRegistry, ValidateFamilyGibbsRejectsUnsupportedForks) {
   EXPECT_THROW(
       core::validate_family_gibbs(PriorKind::kSizeBiased, vectorized),
       srm::InvalidArgument);
-
-  auto lanes = gibbs;
-  lanes.chain_lanes = true;
-  EXPECT_NO_THROW(core::validate_family_gibbs(PriorKind::kPoisson, lanes));
-  EXPECT_THROW(core::validate_family_gibbs(PriorKind::kSizeBiased, lanes),
-               srm::InvalidArgument);
 }
 
 TEST(ModelFamilyRegistry, MakeModelConstructsEveryRegisteredCell) {

@@ -157,7 +157,6 @@ TEST(SizeBiased, RegisteredThroughTheFamilySeamOnly) {
   EXPECT_EQ(family.id, "sizebiased");
   EXPECT_FALSE(family.reproduction);
   EXPECT_FALSE(family.supports_vectorized);
-  EXPECT_FALSE(family.supports_chain_lanes);
   ASSERT_EQ(family.selection_models.size(), 1u);
   EXPECT_EQ(family.selection_models.front(),
             DetectionModelKind::kSizeBiasedMultinomial);

@@ -66,18 +66,13 @@ TEST(ServeFamilyProtocol, ModelOutsideTheFamilyGridIsRejected) {
 }
 
 TEST(ServeFamilyProtocol, UnsupportedForksAreRejectedUpFront) {
-  // The size-biased sampler is scalar-only; a vectorized or chain-lanes
-  // request must fail at parse time, never silently run un-forked under a
-  // forked spec hash.
+  // The size-biased sampler is scalar-only; a vectorized request must fail
+  // at parse time, never silently run un-forked under a forked spec hash.
   EXPECT_THROW(serve::parse_request(parse(
                    R"({"op":"fit","project":"sys1","prior":"sizebiased",)"
                    R"("gibbs":{"vectorized":true}})")),
                srm::InvalidArgument);
-  EXPECT_THROW(serve::parse_request(parse(
-                   R"({"op":"fit","project":"sys1","prior":"sizebiased",)"
-                   R"("gibbs":{"chain_lanes":true}})")),
-               srm::InvalidArgument);
-  // The same forks stay legal for a family that implements them.
+  // The same fork stays legal for a family that implements it.
   EXPECT_NO_THROW(serve::parse_request(parse(
       R"({"op":"fit","project":"sys1","prior":"poisson",)"
       R"("gibbs":{"vectorized":true}})")));

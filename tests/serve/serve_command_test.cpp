@@ -115,6 +115,20 @@ TEST(ServeCommand, ShutdownRequestEndsTheLoopEarly) {
   EXPECT_TRUE(bye.at("result").at("shutting_down").as_bool());
 }
 
+TEST(ServeCommand, RetiredChainLanesMemberFailsWithoutEndingTheStream) {
+  const std::string retired =
+      R"({"op":"fit","project":"sys1","day":48,)"
+      R"("gibbs":{"chains":2,"burn_in":10,"iterations":40,"chain_lanes":true}})";
+  const auto lines =
+      run_stream({"--no-meta"}, retired + "\n" + fit_line(1) + "\n");
+  ASSERT_EQ(lines.size(), 2u);
+  const Json refused = Json::parse(lines[0]);
+  EXPECT_FALSE(refused.at("ok").as_bool());
+  EXPECT_NE(lines[0].find("chain_lanes"), std::string::npos) << lines[0];
+  // The next request on the same stream is still served.
+  EXPECT_TRUE(Json::parse(lines[1]).at("ok").as_bool());
+}
+
 TEST(ServeCommand, UnknownFlagsAreRejected) {
   std::istringstream in;
   std::ostringstream out;

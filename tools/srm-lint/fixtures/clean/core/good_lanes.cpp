@@ -1,6 +1,5 @@
 // Satellite TU of good.hpp: carries the SRM_EXPECTS precondition for a
-// declaration whose definition does not live in the exact sibling good.cpp
-// (mirrors src/core/bayes_srm_lanes.cpp).
+// declaration whose definition does not live in the exact sibling good.cpp.
 #include "core/good.hpp"
 
 namespace srm::core {

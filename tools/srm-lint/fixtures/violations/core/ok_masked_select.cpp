@@ -1,17 +1,16 @@
-// The clean twin of bad_masked_select.cpp: the same mask-and-retire control
-// flow expressed through the sanctioned support/simd helpers. The wrapper
-// names (movemask, vandnot, vselect, lane_mask) must never trip the
-// raw-intrinsics rule — only the underlying ISA spellings do.
-#include "support/simd/mask.hpp"
+// The clean twin of bad_masked_select.cpp: the same masked-select control
+// flow expressed through the sanctioned support/simd lane layer. The
+// wrapper names (vselect, vlt, vmin) must never trip the raw-intrinsics
+// rule — only the underlying ISA spellings do.
+#include "support/simd/lanes.hpp"
 
 namespace srm::core {
 
-simd::VecD retire_lanes(simd::VecD mask, simd::VecD active,
-                        simd::VecD replacement) {
-  const unsigned ledger = simd::movemask(mask);
-  simd::VecD survivors = simd::vandnot(active, mask);
-  if (ledger == 0) return survivors;
-  return simd::vselect(mask, replacement, survivors);
+simd::VecD clamp_or_replace(simd::VecD x, simd::VecD limit,
+                            simd::VecD replacement) {
+  const simd::VecD below = simd::vlt(x, limit);
+  const simd::VecD clamped = simd::vmin(x, limit);
+  return simd::vselect(below, clamped, replacement);
 }
 
 }  // namespace srm::core

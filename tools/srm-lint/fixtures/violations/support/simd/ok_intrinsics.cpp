@@ -12,7 +12,7 @@ double lane_sum(const double* data) {
 
 int lane_ledger(__m128d mask) {
   // Masked-select/movemask spellings are also sanctioned here — this is
-  // where the mask.hpp wrappers live.
+  // where the lanes.hpp wrappers live.
   return _mm_movemask_pd(_mm_blendv_pd(mask, mask, mask));
 }
 

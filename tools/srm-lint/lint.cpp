@@ -115,7 +115,7 @@ const std::vector<RuleInfo>& registered_rules() {
        "__builtin_ia32_*, and no masked-select/movemask intrinsic "
        "spellings (_mm*_blendv_pd/_mm*_movemask_pd/_mm*_andnot_pd/"
        "vbslq_f64) outside support/simd/; all ISA-specific code goes "
-       "through the lane layer and its mask helpers so every other TU "
+       "through the lane layer so every other TU "
        "stays portable and baseline-compiled",
        PassKind::kToken,
        "violations",

@@ -47,7 +47,7 @@
 //                   execute an SRM_EXPECTS precondition in its
 //                   implementation (inline body, the sibling .cpp, or a
 //                   same-directory `<stem>_*.cpp` satellite TU such as
-//                   bayes_srm_lanes.cpp for bayes_srm.hpp).
+//                   good_lanes.cpp for the clean fixture good.hpp).
 //   nested-vector-matrix No std::vector<std::vector<...>> in src/core/ or
 //                   src/report/: pointwise matrices there are hot and a
 //                   vector-of-vector pays one allocation and one pointer
@@ -92,10 +92,9 @@
 //                   movemask intrinsic spellings (_mm*_blendv_pd,
 //                   _mm*_movemask_pd, _mm*_andnot_pd, vbslq_f64) outside
 //                   src/support/simd/: all ISA-specific code goes through
-//                   the lane layer (support/simd/lanes.hpp) and its mask
-//                   helpers (support/simd/mask.hpp), so every other TU
-//                   stays portable and compiles at the baseline ISA —
-//                   only the kernel TUs ever get -mavx2.
+//                   the lane layer (support/simd/lanes.hpp and math.hpp),
+//                   so every other TU stays portable and compiles at the
+//                   baseline ISA — only the kernel TU ever gets -mavx2.
 //
 // 3. Contract-drift pass (contract.hpp, `srm-lint --self-check`): every
 //    registered rule must fire on its violating fixtures and stay quiet on

@@ -375,9 +375,9 @@ TEST(SrmLint, DetectsRawIntrinsics) {
 }
 
 TEST(SrmLint, MaskHelperWrappersDoNotTripRawIntrinsics) {
-  // The sanctioned wrapper names (simd::movemask, vandnot, vselect) used
-  // outside support/simd/ are the whole point of the mask layer — the rule
-  // bans the ISA spellings, never the wrappers.
+  // The sanctioned wrapper names (simd::vselect, vlt, vmin) used outside
+  // support/simd/ are the whole point of the lane layer — the rule bans the
+  // ISA spellings, never the wrappers.
   const auto all = run_lint(fixture("violations"));
   for (const auto& f : findings_for_rule(all, "raw-intrinsics")) {
     EXPECT_NE(f.file, "core/ok_masked_select.cpp")
