@@ -11,12 +11,14 @@ Args Args::parse(const std::vector<std::string>& tokens) {
   Args args;
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const std::string& token = tokens[i];
-    SRM_EXPECTS(token.rfind("--", 0) == 0,
-                "expected a --flag, got '" + token + "'");
+    if (token.rfind("--", 0) != 0) {
+      throw InvalidArgument("expected a --flag, got '" + token + "'");
+    }
     const std::string name = token.substr(2);
-    SRM_EXPECTS(!name.empty(), "empty flag name");
-    SRM_EXPECTS(!args.values_.contains(name),
-                "duplicate flag --" + name);
+    if (name.empty()) throw InvalidArgument("empty flag name");
+    if (args.values_.contains(name)) {
+      throw InvalidArgument("duplicate flag --" + name);
+    }
     if (i + 1 < tokens.size() && tokens[i + 1].rfind("--", 0) != 0) {
       args.values_[name] = tokens[i + 1];
       ++i;
@@ -45,8 +47,9 @@ std::string Args::get_string(const std::string& name,
 
 std::string Args::require_string(const std::string& name) const {
   const auto it = values_.find(name);
-  SRM_EXPECTS(it != values_.end() && !it->second.empty(),
-              "missing required flag --" + name);
+  if (it == values_.end() || it->second.empty()) {
+    throw InvalidArgument("missing required flag --" + name);
+  }
   consumed_[name] = true;
   return it->second;
 }
@@ -59,8 +62,10 @@ double Args::get_double(const std::string& name, double fallback) const {
   const auto& text = it->second;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  SRM_EXPECTS(ec == std::errc{} && ptr == text.data() + text.size(),
-              "flag --" + name + " expects a number, got '" + text + "'");
+  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+    throw InvalidArgument("flag --" + name + " expects a number, got '" +
+                          text + "'");
+  }
   return value;
 }
 
@@ -73,8 +78,10 @@ std::int64_t Args::get_int(const std::string& name,
   const auto& text = it->second;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  SRM_EXPECTS(ec == std::errc{} && ptr == text.data() + text.size(),
-              "flag --" + name + " expects an integer, got '" + text + "'");
+  if (ec != std::errc{} || ptr != text.data() + text.size()) {
+    throw InvalidArgument("flag --" + name + " expects an integer, got '" +
+                          text + "'");
+  }
   return value;
 }
 
@@ -82,9 +89,11 @@ std::size_t Args::get_size(const std::string& name,
                            std::size_t fallback) const {
   const std::int64_t value =
       get_int(name, static_cast<std::int64_t>(fallback));
-  SRM_EXPECTS(value >= 0,
-              "flag --" + name + " expects a non-negative integer, got " +
-                  support::dec(value));
+  if (value < 0) {
+    throw InvalidArgument("flag --" + name +
+                          " expects a non-negative integer, got " +
+                          support::dec(value));
+  }
   return static_cast<std::size_t>(value);
 }
 

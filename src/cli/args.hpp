@@ -2,7 +2,9 @@
 //
 // Grammar: `srm_cli <command> [--name value]... [--switch]...`.
 // Unknown flags are an error; every accessor validates its type and
-// reports the offending flag by name.
+// reports the offending flag by name. Flag errors are user input, not
+// contract violations: they throw srm::InvalidArgument with the plain
+// message ("missing required flag --csv"), never an SRM_EXPECTS report.
 #pragma once
 
 #include <cstdint>

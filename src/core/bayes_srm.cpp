@@ -36,6 +36,16 @@ BayesianSrm::BayesianSrm(PriorKind prior, DetectionModelKind model_kind,
       vectorized_(vectorized),
       zeta_supports_(model_->parameter_supports(config.limits)) {
   SRM_EXPECTS(config.lambda_max > 0.0, "lambda_max must be positive");
+  if (prior_ == PriorKind::kSizeBiased) {
+    SRM_EXPECTS(model_kind == DetectionModelKind::kSizeBiasedMultinomial,
+                "the size-biased family only accepts its multinomial "
+                "detection model");
+    SRM_EXPECTS(config.limits.sb_shape_max > 0.0,
+                "sb_shape_max must be positive");
+    SRM_EXPECTS(config.limits.sb_scale_max > 0.0,
+                "sb_scale_max must be positive");
+    return;
+  }
   SRM_EXPECTS(config.alpha_max > 0.0, "alpha_max must be positive");
   SRM_EXPECTS(config.limits.theta_max > 0.0, "theta_max must be positive");
   SRM_EXPECTS(config.limits.gamma_bound > 0.0, "gamma_bound must be positive");
@@ -56,7 +66,7 @@ std::unique_ptr<mcmc::GibbsWorkspace> BayesianSrm::make_workspace() const {
 
 std::vector<std::string> BayesianSrm::parameter_names() const {
   std::vector<std::string> names{"residual"};
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content()) {
     names.emplace_back("lambda0");
   } else {
     names.emplace_back("alpha0");
@@ -68,7 +78,7 @@ std::vector<std::string> BayesianSrm::parameter_names() const {
 
 std::vector<double> BayesianSrm::initial_state(random::Rng& rng) const {
   std::vector<double> state(state_size(), 0.0);
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content()) {
     state[1] = interior_uniform(rng, 0.0, config_.lambda_max);
   } else {
     state[1] = interior_uniform(rng, 0.0, config_.alpha_max);
@@ -120,7 +130,7 @@ void BayesianSrm::update_with(std::vector<double>& state, random::Rng& rng,
 
 void BayesianSrm::update_residual(std::vector<double>& state,
                                   random::Rng& rng, double survival) const {
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content()) {
     const auto posterior = poisson_residual_posterior(
         std::max(state[1], 1e-12), data_, survival);
     state[residual_index()] = static_cast<double>(posterior.sample(rng));
@@ -152,7 +162,7 @@ double BayesianSrm::stable_survival(std::span<const double> zeta,
 void BayesianSrm::update_hyperparameters(std::vector<double>& state,
                                          random::Rng& rng) const {
   const std::int64_t n = initial_bugs_of(state);
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content()) {
     // p(lambda0 | N) ∝ pi(lambda0) lambda0^N e^{-lambda0} on (0, lambda_max):
     // TruncatedGamma(N + 1, 1) under the uniform hyperprior, shape N + 1/2
     // under the Jeffreys variant pi ∝ lambda^{-1/2}.
@@ -222,7 +232,7 @@ void BayesianSrm::update_hyperparameters_collapsed(
   const auto zeta = std::span<const double>(state).subspan(zeta_offset());
   const double survival = stable_survival(zeta, ws);
   const double s_k = static_cast<double>(data_.total());
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content()) {
     // p(lambda0 | zeta, x) ∝ pi(lambda0) lambda0^{s_k} e^{-lambda0 (1-Q)}:
     // TruncatedGamma(s_k + 1, 1 - Q) under the uniform hyperprior (shape
     // s_k + 1/2 for Jeffreys). Rate is clamped away from 0 for the
@@ -325,7 +335,7 @@ void BayesianSrm::update_zeta_collapsed(std::vector<double>& state,
     for (std::size_t i = 0; i < days; ++i) log_q_sum += ws.log_survivals[i];
     const double survival =
         std::isfinite(log_q_sum) ? std::exp(log_q_sum) : 0.0;
-    if (prior_ == PriorKind::kPoisson) {
+    if (poisson_content()) {
       // lambda0 is integrated out as well (its conditional is a truncated
       // gamma, so the normalizer is available in closed form):
       //   p(zeta | x) ∝ base(zeta) * Gamma(shape) (1-Q)^{-shape}
@@ -498,7 +508,7 @@ double BayesianSrm::log_joint(std::span<const double> state) const {
   }
 
   double log_prior;
-  if (prior_ == PriorKind::kPoisson) {
+  if (poisson_content()) {
     const double lambda0 = state[1];
     if (lambda0 <= 0.0 || lambda0 >= config_.lambda_max) return kNegInf;
     log_prior = static_cast<double>(n) * std::log(lambda0) - lambda0 -

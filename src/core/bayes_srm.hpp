@@ -4,8 +4,17 @@
 // hyperparameters under non-informative uniform hyperpriors, sampled by a
 // Gibbs scheme (Eqs 14-22) built on srm::mcmc.
 //
+// The same scan samples the size-biased family (Dey-Chakraborty,
+// arXiv:2202.08107 / 2406.04360). Its per-bug Gamma detectability model
+// (DetectionModelKind::kSizeBiasedMultinomial: big bugs first, Lomax tail)
+// makes the day counts given N multinomial over detection days, which
+// factorizes into exactly the sequential-binomial likelihood of Eq (2)
+// with that hazard, and N is Poisson(lambda0). So the family is a Poisson
+// bug-content layer plus one more detection model, and it takes every
+// Poisson conditional below.
+//
 // Gibbs conditionals (derived in DESIGN.md):
-//   Poisson prior:
+//   Poisson prior (and size-biased):
 //     R = N - s_k | lambda0, zeta, x  ~ Poisson(lambda0 * prod q_i)  [exact]
 //     lambda0 | N ~ TruncatedGamma(N + 1, 1, lambda_max)             [exact]
 //     zeta_j | N, x  — slice sampling of the zeta-kernel of Eq (2)
@@ -16,8 +25,8 @@
 //     zeta_j | N, x     — slice sampling
 //
 // State vector layout (also the parameter-name order):
-//   Poisson prior:  [residual, lambda0, zeta...]
-//   NB prior:       [residual, alpha0, beta0, zeta...]
+//   Poisson / size-biased:  [residual, lambda0, zeta...]
+//   NB prior:               [residual, alpha0, beta0, zeta...]
 #pragma once
 
 #include <memory>
@@ -37,7 +46,9 @@ class BayesianSrm final : public SrmModel {
   /// `vectorized` routes the detection batch channels and the pointwise
   /// log-likelihood fill through the support/simd kernels (models that
   /// have them; see GibbsOptions::vectorized). Default off: the scalar
-  /// path stays bit-identical to earlier releases.
+  /// path stays bit-identical to earlier releases. The size-biased prior
+  /// requires its multinomial detection model and checks the sb_* limits
+  /// instead of alpha_max / theta_max / gamma_bound.
   BayesianSrm(PriorKind prior, DetectionModelKind model_kind,
               data::BugCountData data, HyperPriorConfig config = {},
               bool vectorized = false);
@@ -75,7 +86,7 @@ class BayesianSrm final : public SrmModel {
   [[nodiscard]] PriorKind family() const override { return prior_; }
   /// Index of the first detection-model parameter.
   [[nodiscard]] std::size_t zeta_offset() const override {
-    return prior_ == PriorKind::kPoisson ? 2 : 3;
+    return poisson_content() ? 2 : 3;
   }
   [[nodiscard]] std::size_t state_size() const override {
     return zeta_offset() + model_->parameter_count();
@@ -132,6 +143,12 @@ class BayesianSrm final : public SrmModel {
   [[nodiscard]] double log_joint(std::span<const double> state) const;
 
  private:
+  /// True for the families whose bug-content layer is Poisson(lambda0):
+  /// poisson and sizebiased. They share every conditional and the layout.
+  [[nodiscard]] bool poisson_content() const {
+    return prior_ != PriorKind::kNegativeBinomial;
+  }
+
   void update_with(std::vector<double>& state, random::Rng& rng,
                    Workspace& workspace) const;
   void update_residual(std::vector<double>& state, random::Rng& rng,

@@ -37,14 +37,21 @@ enum class DetectionModelKind {
   kLearningCurve = 6,   ///< model6: saturating learning ramp,
                         ///< p_i = mu * theta i / (theta i + 1) — detection
                         ///< skill grows from 0 toward mu
-  kSizeBiasedMultinomial = 7,  ///< "multinomial": the size-biased family's
-                               ///< detection likelihood (core/size_biased.hpp)
-                               ///< — per-bug Gamma(shape, scale)
-                               ///< detectability thinned day by day,
-                               ///< p_i = 1 - ((scale+i-1)/(scale+i))^shape,
-                               ///< a decreasing hazard (big bugs found
-                               ///< first). Only valid under the sizebiased
-                               ///< family.
+  /// "multinomial": the size-biased family's detection likelihood
+  /// (Dey-Chakraborty). Each bug carries a latent detectability
+  /// z ~ Gamma(shape, scale) (density ∝ z^{shape-1} e^{-scale z}) and
+  /// survives any single testing day with probability e^{-z}, so big bugs
+  /// are found first. Bugs still latent at the start of day i are
+  /// size-biased toward small z — their detectability is
+  /// Gamma(shape, scale + i - 1) — so the day-i hazard among survivors is
+  ///
+  ///   p_i = 1 - ((scale + i - 1) / (scale + i))^shape     (decreasing),
+  ///   log q_i = shape * (log(scale + i - 1) - log(scale + i)),
+  ///   Q_k = prod q_i = (scale / (scale + k))^shape        (Lomax tail).
+  ///
+  /// Only valid under the sizebiased family, whose Poisson bug-content
+  /// layer lets BayesianSrm sample it with the Poisson scan.
+  kSizeBiasedMultinomial = 7,
 };
 
 /// The paper's five kinds (model0..model4), in paper order.
@@ -83,7 +90,7 @@ struct DetectionModelLimits {
   double theta_max = 10.0;
   double gamma_bound = 10.0;
   /// Supports of the size-biased multinomial detection parameters
-  /// (core/size_biased.hpp). Serialized omit-if-default so every artifact
+  /// (DetectionModelKind::kSizeBiasedMultinomial). Serialized omit-if-default so every artifact
   /// identity that predates the size-biased family keeps its exact bytes.
   double sb_shape_max = 20.0;
   double sb_scale_max = 200.0;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/bayes_srm.hpp"
-#include "core/size_biased.hpp"
 #include "support/error.hpp"
 
 namespace srm::core {
@@ -80,6 +79,35 @@ void register_negative_binomial_family(ModelFamilyRegistry& registry) {
   registry.add(std::move(family));
 }
 
+void register_size_biased_family(ModelFamilyRegistry& registry) {
+  ModelFamily family;
+  family.kind = PriorKind::kSizeBiased;
+  family.id = "sizebiased";
+  family.display_name = "Size-biased prior (multinomial)";
+  family.table_title = "(iii) Size-biased prior.";
+  family.summary =
+      "Poisson(lambda0) bug content with per-bug Gamma(shape, scale) "
+      "detectability thinned day by day — big bugs found first "
+      "(Dey-Chakraborty)";
+  family.reference = "Dey-Chakraborty, arXiv:2202.08107 / 2406.04360";
+  family.reproduction = false;
+  family.selection_models = {DetectionModelKind::kSizeBiasedMultinomial};
+  family.accepted_models = {DetectionModelKind::kSizeBiasedMultinomial};
+  family.default_model = DetectionModelKind::kSizeBiasedMultinomial;
+  family.hyper_parameter_names = {"lambda0"};
+  family.tuned_scale = TunedScale::kLambdaMax;
+  family.supports_vectorized = false;
+  family.make = [](DetectionModelKind model, data::BugCountData data,
+                   const HyperPriorConfig& config,
+                   bool vectorized) -> std::unique_ptr<SrmModel> {
+    SRM_EXPECTS(!vectorized,
+                "the size-biased family has no --vectorized fork");
+    return std::make_unique<BayesianSrm>(PriorKind::kSizeBiased, model,
+                                         std::move(data), config);
+  };
+  registry.add(std::move(family));
+}
+
 }  // namespace
 
 std::string to_string(PriorKind prior) { return family(prior).id; }
@@ -148,7 +176,7 @@ const ModelFamilyRegistry& ModelFamilyRegistry::instance() {
     ModelFamilyRegistry bootstrap;
     register_poisson_family(bootstrap);
     register_negative_binomial_family(bootstrap);
-    register_size_biased_family(bootstrap);  // core/size_biased.cpp
+    register_size_biased_family(bootstrap);
     return bootstrap;
   }();
   return registry;

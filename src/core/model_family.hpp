@@ -17,9 +17,10 @@
 //
 // Every switch/if-chain over PriorKind/DetectionModelKind outside src/core/
 // is banned (srm-lint rule `family-dispatch`): mle/, report/, artifact/,
-// cli/ and serve/ consult the registry instead, so a new family lands by
-// writing one core TU and one registration line — see core/size_biased.cpp
-// for the proof.
+// cli/ and serve/ consult the registry instead, so a new family lands as a
+// registry record plus, where it needs one, a DetectionModel — the
+// size-biased family is exactly that, sampled by the shared BayesianSrm
+// scan.
 #pragma once
 
 #include <memory>
@@ -94,8 +95,8 @@ struct HyperPriorConfig {
 /// estimation pipeline consumes downstream of the sampler — pointwise
 /// log-likelihood rows (WAIC/LOO/streaming scoring), the state-vector
 /// layout (residual slot, detection-parameter block), and the detection
-/// model for out-of-window prediction. BayesianSrm and SizeBiasedSrm are
-/// the registered implementations.
+/// model for out-of-window prediction. BayesianSrm is the implementation
+/// every registered family constructs.
 class SrmModel : public mcmc::GibbsModel {
  public:
   /// Registry key of the family this model belongs to.

@@ -1,8 +1,15 @@
 // Tests for the CLI flag parser.
 #include "cli/args.hpp"
 
+#include <functional>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "cli/commands.hpp"
 #include "support/error.hpp"
 
 namespace {
@@ -73,6 +80,54 @@ TEST(Args, MalformedTokensThrow) {
   EXPECT_THROW(Args::parse({"--dup", "1", "--dup", "2"}),
                srm::InvalidArgument);
   EXPECT_THROW(Args::parse({"--"}), srm::InvalidArgument);
+}
+
+// Message of the srm::InvalidArgument `action` throws ("" if none).
+std::string invalid_argument_message(const std::function<void()>& action) {
+  try {
+    action();
+  } catch (const srm::InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Args, FlagErrorsAreUserErrorsNotContractViolations) {
+  // Flag mistakes come from the user: the message names the flag and
+  // carries no contract decoration (macro name, condition, source path).
+  const std::vector<std::pair<std::string, std::function<void()>>> cases = {
+      {"missing required flag --csv",
+       [] { (void)Args::parse({}).require_string("csv"); }},
+      {"expected a --flag, got 'positional'",
+       [] { (void)Args::parse({"positional"}); }},
+      {"empty flag name", [] { (void)Args::parse({"--"}); }},
+      {"duplicate flag --dup",
+       [] { (void)Args::parse({"--dup", "1", "--dup", "2"}); }},
+      {"flag --rate expects a number, got 'fast'",
+       [] { (void)Args::parse({"--rate", "fast"}).get_double("rate", 0.0); }},
+      {"flag --days expects an integer, got '4.5'",
+       [] { (void)Args::parse({"--days", "4.5"}).get_int("days", 0); }},
+      {"flag --threads expects a non-negative integer, got -2",
+       [] { (void)Args::parse({"--threads", "-2"}).get_size("threads", 0); }},
+  };
+  for (const auto& [expected, action] : cases) {
+    const std::string message = invalid_argument_message(action);
+    EXPECT_EQ(message, expected);
+    EXPECT_EQ(message.find("SRM_EXPECTS"), std::string::npos) << message;
+    EXPECT_EQ(message.find('/'), std::string::npos) << message;
+  }
+}
+
+TEST(Args, FitWithoutCsvPrintsThePlainFlagError) {
+  for (const auto& flags :
+       {std::vector<std::string>{}, std::vector<std::string>{"--help"}}) {
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(srm::cli::dispatch("fit", flags, out, err), 2);
+    EXPECT_EQ(err.str(), "error: missing required flag --csv\n");
+    EXPECT_EQ(err.str().find("SRM_EXPECTS"), std::string::npos);
+    EXPECT_EQ(err.str().find('/'), std::string::npos);
+  }
 }
 
 TEST(Args, UnusedTracksUnreadFlags) {

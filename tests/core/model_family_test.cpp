@@ -196,6 +196,22 @@ TEST(ModelFamilyRegistry, MakeModelConstructsEveryRegisteredCell) {
   }
 }
 
+TEST(ModelFamilyRegistry, ConstructorPreconditionsFollowTheFamily) {
+  // One model class serves every family, but each family checks only the
+  // limits it reads: sizebiased never reads theta_max, poisson does.
+  const auto data = srm::data::sys1_grouped();
+  core::HyperPriorConfig config;
+  config.limits.theta_max = 0.0;
+  EXPECT_NO_THROW(static_cast<void>(
+      core::make_model(PriorKind::kSizeBiased,
+                       DetectionModelKind::kSizeBiasedMultinomial, data,
+                       config)));
+  EXPECT_THROW(static_cast<void>(core::make_model(
+                   PriorKind::kPoisson, DetectionModelKind::kConstant, data,
+                   config)),
+               srm::InvalidArgument);
+}
+
 TEST(ModelFamilyRegistry, MarkdownTableListsEveryFamily) {
   const auto table = core::render_family_table_markdown();
   for (const auto& family : core::model_families().families()) {

@@ -15,4 +15,9 @@ double Model::helper(double x) const { return x + rate_; }
 
 double summarize(const Model& m) { return m.rate(); }
 
+double packed_pdf(const Model& m, double x, int lanes) {
+  SRM_EXPECTS(lanes >= 1, "at least one lane");
+  return m.log_pdf(x) * static_cast<double>(lanes);
+}
+
 }  // namespace srm::core

@@ -22,8 +22,7 @@ class Model {
 // Free function without numeric scalar params: not subject to the rule.
 double summarize(const Model& m);
 
-// Implemented in the satellite TU good_lanes.cpp, not the exact sibling:
-// the rule accepts any same-directory `good_*.cpp`.
+// Free numeric function: its precondition lives in the sibling good.cpp.
 double packed_pdf(const Model& m, double x, int lanes);
 
 }  // namespace srm::core

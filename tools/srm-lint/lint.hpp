@@ -45,9 +45,7 @@
 //   expects         Every public function in src/core/ and src/stats/
 //                   headers that takes scalar numeric parameters must
 //                   execute an SRM_EXPECTS precondition in its
-//                   implementation (inline body, the sibling .cpp, or a
-//                   same-directory `<stem>_*.cpp` satellite TU such as
-//                   good_lanes.cpp for the clean fixture good.hpp).
+//                   implementation (inline body or the sibling .cpp).
 //   nested-vector-matrix No std::vector<std::vector<...>> in src/core/ or
 //                   src/report/: pointwise matrices there are hot and a
 //                   vector-of-vector pays one allocation and one pointer

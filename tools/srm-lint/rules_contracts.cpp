@@ -529,19 +529,15 @@ std::size_t definition_body(const std::string& s, std::size_t paren) {
 }
 
 /// Checks the declarations collected from a header against its sibling
-/// implementation files: every matching definition must contain
-/// SRM_EXPECTS. A header's implementations may be split across the exact
-/// sibling (`bayes_srm.cpp` for `bayes_srm.hpp`) and same-directory
-/// satellite TUs named `<stem>_*.cpp`.
-void check_impls(const FileText& header,
-                 const std::vector<const FileText*>& impls,
+/// implementation file (`bayes_srm.cpp` for `bayes_srm.hpp`; null when the
+/// header has none): every matching definition must contain SRM_EXPECTS.
+void check_impls(const FileText& header, const FileText* impl,
                  const std::vector<PublicDecl>& decls,
                  std::vector<Finding>& out) {
   for (const PublicDecl& d : decls) {
     bool found_def = false;
-    bool found_expects = false;
     std::vector<std::pair<int, std::string>> missing;  // line in impl
-    for (const FileText* impl : impls) {
+    if (impl != nullptr) {
       const std::string& s = impl->stripped;
       std::size_t pos = 0;
       while ((pos = s.find(d.name, pos)) != std::string::npos) {
@@ -567,10 +563,9 @@ void check_impls(const FileText& header,
         if (body_end == std::string::npos) continue;
         found_def = true;
         const int def_line = line_of(impl->starts, at);
-        if (s.substr(body, body_end - body).find("SRM_EXPECTS") !=
-            std::string::npos) {
-          found_expects = true;
-        } else if (!impl->suppressed(def_line, "expects")) {
+        if (s.substr(body, body_end - body).find("SRM_EXPECTS") ==
+                std::string::npos &&
+            !impl->suppressed(def_line, "expects")) {
           missing.emplace_back(def_line, impl->rel);
         }
         pos = body_end;
@@ -580,11 +575,10 @@ void check_impls(const FileText& header,
       out.push_back({header.rel, d.line, "expects",
                      "public function `" + d.name +
                          "` takes numeric parameters but no implementation "
-                         "was found in a sibling <stem>*.cpp to carry its "
+                         "was found in the sibling <stem>.cpp to carry its "
                          "SRM_EXPECTS precondition"});
       continue;
     }
-    (void)found_expects;
     for (const auto& [line, file] : missing) {
       out.push_back({file, line, "expects",
                      "definition of public `" +
@@ -628,32 +622,10 @@ void run_contract_rules(const FileSet& files, std::vector<Finding>& out) {
       std::vector<PublicDecl> needs_impl;
       scan_header(f, needs_impl, out);
       if (!needs_impl.empty()) {
-        // Sibling implementations come from the already-loaded file set —
-        // never a second disk read. A header's definitions may be split
-        // across the exact sibling and `<stem>_*.cpp` satellite TUs in the
-        // same directory (e.g. good.hpp -> good.cpp + good_lanes.cpp in the
-        // clean fixtures), so a TU that needs its own compile flags can
-        // split off without losing the check.
+        // The sibling implementation comes from the already-loaded file
+        // set — never a second disk read.
         const std::string stem = f.rel.substr(0, f.rel.size() - 4);
-        std::vector<const FileText*> impls;
-        if (const FileText* exact = files.find(stem + ".cpp")) {
-          impls.push_back(exact);
-        }
-        const std::string prefix = stem + "_";
-        for (const FileText& candidate : files.files()) {
-          if (candidate.rel.size() <= prefix.size() + 4) continue;
-          if (candidate.rel.rfind(prefix, 0) != 0) continue;
-          if (candidate.rel.compare(candidate.rel.size() - 4, 4, ".cpp") !=
-              0) {
-            continue;
-          }
-          // Same directory only: no '/' after the stem.
-          if (candidate.rel.find('/', prefix.size()) != std::string::npos) {
-            continue;
-          }
-          impls.push_back(&candidate);
-        }
-        check_impls(f, impls, needs_impl, out);
+        check_impls(f, files.find(stem + ".cpp"), needs_impl, out);
       }
     }
   }
