@@ -63,15 +63,14 @@ core::PriorKind parse_prior(const Args& args) {
                         core::family_ids_joined() + ")");
 }
 
-/// "model0|model1|...": the accepted --model values, straight from the
-/// detection-model registry so this text can never drift from the enum.
-std::string model_names_joined() {
-  std::string joined;
-  for (const auto& name : core::detection_model_names()) {
-    if (!joined.empty()) joined += '|';
-    joined += name;
+/// "a|b|c": a flag's accepted values for error and help text.
+std::string joined(const std::vector<std::string>& names) {
+  std::string out;
+  for (const auto& name : names) {
+    if (!out.empty()) out += '|';
+    out += name;
   }
-  return joined;
+  return out;
 }
 
 core::DetectionModelKind parse_model_name(const Args& args,
@@ -79,7 +78,7 @@ core::DetectionModelKind parse_model_name(const Args& args,
   const std::string name = args.get_string("model", fallback);
   if (const auto kind = core::detection_model_from_string(name)) return *kind;
   throw InvalidArgument("unknown --model '" + name + "' (use " +
-                        model_names_joined() + ")");
+                        joined(core::detection_model_names()) + ")");
 }
 
 /// Family-aware --model: the historical CLI default is model1 where the
@@ -154,12 +153,24 @@ std::vector<std::size_t> parse_day_list(const std::string& text) {
     const auto length =
         comma == std::string::npos ? text.size() - start : comma - start;
     const auto value = support::parse_count(text.substr(start, length));
-    SRM_EXPECTS(value > 0, "--obs-days entries must be positive");
+    require_input(value > 0, "--obs-days entries must be positive");
     days.push_back(static_cast<std::size_t>(value));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
   return days;
+}
+
+/// --format, checked against the command's accepted values (the first is
+/// the default).
+std::string parse_format(const Args& args,
+                         const std::vector<std::string>& accepted) {
+  const std::string format = args.get_string("format", accepted.front());
+  if (std::find(accepted.begin(), accepted.end(), format) != accepted.end()) {
+    return format;
+  }
+  throw InvalidArgument("unknown --format '" + format + "' (use " +
+                        joined(accepted) + ")");
 }
 
 }  // namespace
@@ -173,9 +184,7 @@ int run_fit(const Args& args, std::ostream& out) {
   request.gibbs = parse_gibbs(args);
   request.observation_day = data.days();
   request.eventual_total = data.total();
-  const std::string format = args.get_string("format", "table");
-  SRM_EXPECTS(format == "table" || format == "json",
-              "unknown --format '" + format + "' (use table|json)");
+  const std::string format = parse_format(args, {"table", "json"});
   reject_unused(args);
 
   const auto result = core::fit_cell(data, request);
@@ -215,9 +224,7 @@ int run_select(const Args& args, std::ostream& out) {
   const auto data = load_dataset(args);
   const auto gibbs = parse_gibbs(args);
   const auto config = parse_config(args);
-  const std::string format = args.get_string("format", "table");
-  SRM_EXPECTS(format == "table" || format == "json",
-              "unknown --format '" + format + "' (use table|json)");
+  const std::string format = parse_format(args, {"table", "json"});
   reject_unused(args);
 
   struct Row {
@@ -322,8 +329,8 @@ int run_predict(const Args& args, std::ostream& out) {
   const auto data = load_dataset(args);
   const auto fit_days =
       static_cast<std::size_t>(args.get_int("fit-days", 0));
-  SRM_EXPECTS(fit_days >= 1 && fit_days < data.days(),
-              "--fit-days must be a strict prefix of the series");
+  require_input(fit_days >= 1 && fit_days < data.days(),
+                "--fit-days must be a strict prefix of the series");
   const auto prior = parse_prior(args);
   const auto model = parse_model(args, prior);
   const auto config = parse_config(args);
@@ -396,9 +403,9 @@ int run_simulate(const Args& args, std::ostream& out) {
   std::vector<double> zeta;
   core::DetectionModelLimits limits;
   for (const auto& support : detector->parameter_supports(limits)) {
-    SRM_EXPECTS(args.has(support.name),
-                "simulate with " + core::to_string(kind) + " requires --" +
-                    support.name);
+    require_input(args.has(support.name),
+                  "simulate with " + core::to_string(kind) + " requires --" +
+                      support.name);
     zeta.push_back(args.get_double(support.name, 0.0));
   }
   random::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
@@ -436,12 +443,17 @@ int run_release(const Args& args, std::ostream& out) {
   core::ReleaseCosts costs;
   costs.cost_per_testing_day = args.get_double("day-cost", 1.0);
   costs.cost_per_residual_bug = args.get_double("bug-cost", 50.0);
-  const auto horizon =
-      static_cast<std::size_t>(args.get_int("horizon", 60));
+  const auto horizon = args.get_int("horizon", 60);
   reject_unused(args);
+  // Checked here, as serve does, so a bad value never costs a Gibbs run
+  // and reads as a user error.
+  require_input(horizon >= 1, "--horizon must be >= 1");
+  require_input(costs.cost_per_testing_day > 0.0, "--day-cost must be > 0");
+  require_input(costs.cost_per_residual_bug >= 0.0, "--bug-cost must be >= 0");
 
-  const auto [run, plan] = core::fit_and_plan_release(data, prior, kind, config,
-                                                     gibbs, horizon, costs);
+  const auto [run, plan] = core::fit_and_plan_release(
+      data, prior, kind, config, gibbs, static_cast<std::size_t>(horizon),
+      costs);
   const auto posterior = core::summarize_residual_posterior(run);
   const auto [lo, hi] = posterior.credible_interval(0.95);
   out << "residual bugs today (day " << data.days() << "): mean "
@@ -503,11 +515,9 @@ int run_sweep(const Args& args, std::ostream& out) {
   const std::string out_dir = args.get_string("out", "");
   const bool resume = args.has("resume");
   const auto max_cells = args.get_size("max-cells", 0);
-  const std::string format = args.get_string("format", "table");
-  SRM_EXPECTS(format == "table" || format == "json" || format == "csv",
-              "unknown --format '" + format + "' (use table|json|csv)");
-  SRM_EXPECTS(!out_dir.empty() || (!resume && max_cells == 0),
-              "--resume and --max-cells require --out DIR");
+  const std::string format = parse_format(args, {"table", "json", "csv"});
+  require_input(!out_dir.empty() || (!resume && max_cells == 0),
+                "--resume and --max-cells require --out DIR");
   reject_unused(args);
 
   std::optional<artifact::ArtifactStore> store;
@@ -548,9 +558,7 @@ int run_sweep(const Args& args, std::ostream& out) {
 }
 
 int run_families(const Args& args, std::ostream& out) {
-  const std::string format = args.get_string("format", "table");
-  SRM_EXPECTS(format == "table" || format == "markdown",
-              "unknown --format '" + format + "' (use table|markdown)");
+  const std::string format = parse_format(args, {"table", "markdown"});
   reject_unused(args);
   if (format == "markdown") {
     // The exact table embedded in README.md; a docs test pins the README
@@ -613,7 +621,7 @@ std::string usage() {
       "model families (--prior " + core::family_ids_joined() + "):\n" +
       families_help +
       "common flags: --csv FILE|sys1|ntds, --days N,\n"
-      "  --model " + model_names_joined() +
+      "  --model " + joined(core::detection_model_names()) +
       ", --chains, --burn-in, --iterations, --seed,\n"
       "  --thin N        keep every N-th retained scan (default 1)\n"
       "  --keep-traces   store full chains instead of streaming accumulators\n"

@@ -429,19 +429,6 @@ void BayesianSrm::pointwise_log_likelihood_into(std::span<const double> state,
   fill_pointwise(initial_bugs_of(state), ws, out);
 }
 
-void BayesianSrm::pointwise_into(std::span<const double> state, Workspace& ws,
-                                 std::span<double> out) const {
-  SRM_EXPECTS(state.size() == state_size(), "state vector has wrong size");
-  SRM_EXPECTS(out.size() >= data_.days(),
-              "pointwise output needs one slot per testing day");
-  // One batch probability fill into the workspace buffer. Streaming scoring
-  // and stored-trace replay both score through this exact call, so the two
-  // pipeline modes agree bit for bit.
-  model_->probabilities_into(data_.days(), state.subspan(zeta_offset()),
-                             ws.probabilities);
-  fill_pointwise(initial_bugs_of(state), ws, out);
-}
-
 bool BayesianSrm::is_scan_workspace(
     const mcmc::GibbsWorkspace& workspace) const {
   return dynamic_cast<const Workspace*>(&workspace) != nullptr;
@@ -453,7 +440,7 @@ void BayesianSrm::pointwise_row(std::span<const double> state,
   auto* ws = dynamic_cast<Workspace*>(&workspace);
   SRM_EXPECTS(ws != nullptr,
               "pointwise_row requires a workspace from make_workspace()");
-  pointwise_into(state, *ws, out);
+  pointwise_log_likelihood_into(state, *ws, out);
 }
 
 void BayesianSrm::fill_pointwise(std::int64_t initial_bugs, Workspace& ws,

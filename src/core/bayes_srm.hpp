@@ -122,21 +122,12 @@ class BayesianSrm final : public SrmModel {
   /// Allocation-free variant: fills out[i-1] for day i = 1..days() reusing
   /// the workspace's probability buffer. The WAIC matrix evaluates this per
   /// (draw, day); one workspace per worker keeps the pass allocation-free.
+  /// Streaming scoring (pointwise_row) and stored-trace replay both score
+  /// through this one batch probability fill, so the two pipeline modes
+  /// agree bit for bit.
   void pointwise_log_likelihood_into(std::span<const double> state,
                                      Workspace& workspace,
                                      std::span<double> out) const;
-
-  /// In-scan variant for streaming sinks: when `workspace` is the one the
-  /// model's update() just ran with and its detection buffers are still
-  /// fresh for `state` (collapsed scheme), the row is produced from those
-  /// buffers without re-evaluating the detection model; otherwise it falls
-  /// back to the full recomputation. Either way the output is bit-identical
-  /// to pointwise_log_likelihood_into (the batch detection channel's
-  /// bit-identity contract). Precondition: `state` is the draw the
-  /// workspace's last update() produced, or the workspace was never
-  /// updated (fallback path).
-  void pointwise_into(std::span<const double> state, Workspace& workspace,
-                      std::span<double> out) const;
 
   /// Unnormalized log joint density of (state, data) — prior * likelihood.
   /// Exposed for testing the Gibbs conditionals against brute force.

@@ -13,21 +13,9 @@ namespace srm::core {
 
 namespace {
 
-void check_zeta(const DetectionModel& model, std::span<const double> zeta) {
-  SRM_EXPECTS(zeta.size() == model.parameter_count(),
-              "zeta size must match the detection model's parameter count");
-}
-
-void check_batch(const DetectionModel& model, std::size_t days,
-                 std::span<const double> zeta, std::span<const double> out) {
-  check_zeta(model, zeta);
-  SRM_EXPECTS(out.size() >= days,
-              "batch detection output buffer is smaller than `days`");
-}
-
-// Day-indexed constants (log d, the Pareto hazard exponent) live in the
-// shared thread_local tables of detection_tables.hpp; each model pulls the
-// column it needs per probe.
+// Each kind's `fill` is its formula, written once. Day-indexed constants
+// (log d, the Pareto hazard exponent) live in the shared thread_local
+// tables of detection_tables.hpp; each model pulls the column it needs.
 
 class ConstantModel final : public DetectionModel {
  public:
@@ -40,32 +28,20 @@ class ConstantModel final : public DetectionModel {
       const DetectionModelLimits&) const override {
     return {{"mu", 0.0, 1.0}};
   }
-  double probability(std::size_t day,
-                     std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    return zeta[0];  // Eq (3)
-  }
-  void probabilities_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const double mu = zeta[0];
-    for (std::size_t day = 1; day <= days; ++day) out[day - 1] = mu;
-  }
-  void log_survivals_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const double mu = zeta[0];
+
+ protected:
+  void fill(std::size_t first_day, std::size_t last_day,
+            std::span<const double> zeta, std::span<double> p_out,
+            std::span<double> log_q_out) const override {
+    const double mu = zeta[0];  // Eq (3)
     const double log_q = mu >= 1.0
                              ? -std::numeric_limits<double>::infinity()
                              : std::log1p(-mu);
-    for (std::size_t day = 1; day <= days; ++day) out[day - 1] = log_q;
-  }
-  void detection_into(std::size_t days, std::span<const double> zeta,
-                      std::span<double> probabilities_out,
-                      std::span<double> log_survivals_out) const override {
-    probabilities_into(days, zeta, probabilities_out);
-    log_survivals_into(days, zeta, log_survivals_out);
+    for (std::size_t day = first_day; day <= last_day; ++day) {
+      const std::size_t i = day - first_day;
+      if (!p_out.empty()) p_out[i] = mu;
+      if (!log_q_out.empty()) log_q_out[i] = log_q;
+    }
   }
 };
 
@@ -80,53 +56,20 @@ class PadgettSpurrierModel final : public DetectionModel {
       const DetectionModelLimits& limits) const override {
     return {{"mu", 0.0, 1.0}, {"theta", 0.0, limits.theta_max}};
   }
-  double probability(std::size_t day,
-                     std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    const double mu = zeta[0];
-    const double theta = zeta[1];
-    return 1.0 - mu / (theta * static_cast<double>(day) + 1.0);  // Eq (4)
-  }
-  double log_survival(std::size_t day,
-                      std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    // q_i = mu / (theta i + 1) exactly.
-    return std::log(zeta[0]) -
-           std::log(zeta[1] * static_cast<double>(day) + 1.0);
-  }
-  void probabilities_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const double mu = zeta[0];
-    const double theta = zeta[1];
-    for (std::size_t day = 1; day <= days; ++day) {
-      out[day - 1] = 1.0 - mu / (theta * static_cast<double>(day) + 1.0);
-    }
-  }
-  void log_survivals_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const double log_mu = std::log(zeta[0]);
-    const double theta = zeta[1];
-    for (std::size_t day = 1; day <= days; ++day) {
-      out[day - 1] =
-          log_mu - std::log(theta * static_cast<double>(day) + 1.0);
-    }
-  }
-  void detection_into(std::size_t days, std::span<const double> zeta,
-                      std::span<double> probabilities_out,
-                      std::span<double> log_survivals_out) const override {
-    check_batch(*this, days, zeta, probabilities_out);
-    check_batch(*this, days, zeta, log_survivals_out);
+
+ protected:
+  void fill(std::size_t first_day, std::size_t last_day,
+            std::span<const double> zeta, std::span<double> p_out,
+            std::span<double> log_q_out) const override {
     const double mu = zeta[0];
     const double theta = zeta[1];
     const double log_mu = std::log(mu);
-    for (std::size_t day = 1; day <= days; ++day) {
+    for (std::size_t day = first_day; day <= last_day; ++day) {
+      const std::size_t i = day - first_day;
       const double denom = theta * static_cast<double>(day) + 1.0;
-      probabilities_out[day - 1] = 1.0 - mu / denom;
-      log_survivals_out[day - 1] = log_mu - std::log(denom);
+      if (!p_out.empty()) p_out[i] = 1.0 - mu / denom;  // Eq (4)
+      // q_i = mu / (theta i + 1) exactly.
+      if (!log_q_out.empty()) log_q_out[i] = log_mu - std::log(denom);
     }
   }
 };
@@ -144,84 +87,37 @@ class LogLogisticModel final : public DetectionModel {
     return {{"mu", 0.0, 1.0}, {"gamma", -limits.gamma_bound,
                                limits.gamma_bound}};
   }
-  double probability(std::size_t day,
-                     std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    const double mu = zeta[0];
-    const double gamma = zeta[1];
-    const double exponent = std::log(static_cast<double>(day)) - gamma + 1.0;
-    return (1.0 - mu) / (std::pow(mu, exponent) + 1.0);  // Eq (5)
-  }
-  double log_survival(std::size_t day,
-                      std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    const double mu = zeta[0];
-    const double exponent =
-        std::log(static_cast<double>(day)) - zeta[1] + 1.0;
-    // q = (mu^e + mu) / (mu^e + 1); for mu^e overflowing, q -> 1.
-    const double t = std::pow(mu, exponent);
-    if (!std::isfinite(t)) return 0.0;
-    return std::log(t + mu) - std::log1p(t);
-  }
-  void probabilities_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const auto& log_day = day_tables(days).log_day;
-    if (vectorized_) {
-      simd_kernels::loglogistic_detection(days, zeta[0], zeta[1], log_day,
-                                          out, {});
-      return;
-    }
+
+ protected:
+  void fill(std::size_t first_day, std::size_t last_day,
+            std::span<const double> zeta, std::span<double> p_out,
+            std::span<double> log_q_out) const override {
     const double mu = zeta[0];
     const double gamma = zeta[1];
     const double one_minus_mu = 1.0 - mu;
-    for (std::size_t day = 1; day <= days; ++day) {
+    const auto& log_day = day_tables(last_day).log_day;
+    for (std::size_t day = first_day; day <= last_day; ++day) {
+      const std::size_t i = day - first_day;
       const double exponent = log_day[day - 1] - gamma + 1.0;
-      out[day - 1] = one_minus_mu / (std::pow(mu, exponent) + 1.0);
+      // Both channels need mu^e for the same exponent; compute it once.
+      const double t = std::pow(mu, exponent);
+      if (!p_out.empty()) p_out[i] = one_minus_mu / (t + 1.0);  // Eq (5)
+      // q = (mu^e + mu) / (mu^e + 1); for mu^e overflowing, q -> 1.
+      if (!log_q_out.empty()) {
+        log_q_out[i] =
+            !std::isfinite(t) ? 0.0 : std::log(t + mu) - std::log1p(t);
+      }
     }
   }
-  void log_survivals_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const auto& log_day = day_tables(days).log_day;
+  void fill_batch(std::size_t days, std::span<const double> zeta,
+                  std::span<double> p_out,
+                  std::span<double> log_q_out) const override {
     if (vectorized_) {
-      simd_kernels::loglogistic_detection(days, zeta[0], zeta[1], log_day,
-                                          {}, out);
-      return;
-    }
-    const double mu = zeta[0];
-    const double gamma = zeta[1];
-    for (std::size_t day = 1; day <= days; ++day) {
-      const double exponent = log_day[day - 1] - gamma + 1.0;
-      const double t = std::pow(mu, exponent);
-      out[day - 1] =
-          !std::isfinite(t) ? 0.0 : std::log(t + mu) - std::log1p(t);
-    }
-  }
-  void detection_into(std::size_t days, std::span<const double> zeta,
-                      std::span<double> probabilities_out,
-                      std::span<double> log_survivals_out) const override {
-    check_batch(*this, days, zeta, probabilities_out);
-    check_batch(*this, days, zeta, log_survivals_out);
-    const auto& log_day = day_tables(days).log_day;
-    if (vectorized_) {
-      simd_kernels::loglogistic_detection(days, zeta[0], zeta[1], log_day,
-                                          probabilities_out,
-                                          log_survivals_out);
-      return;
-    }
-    const double mu = zeta[0];
-    const double gamma = zeta[1];
-    const double one_minus_mu = 1.0 - mu;
-    // Both channels need mu^e for the same exponent; compute it once.
-    for (std::size_t day = 1; day <= days; ++day) {
-      const double exponent = log_day[day - 1] - gamma + 1.0;
-      const double t = std::pow(mu, exponent);
-      probabilities_out[day - 1] = one_minus_mu / (t + 1.0);
-      log_survivals_out[day - 1] =
-          !std::isfinite(t) ? 0.0 : std::log(t + mu) - std::log1p(t);
+      simd_kernels::loglogistic_detection(days, zeta[0], zeta[1],
+                                          day_tables(days).log_day, p_out,
+                                          log_q_out);
+    } else {
+      fill(1, days, zeta, p_out, log_q_out);
     }
   }
 
@@ -241,65 +137,30 @@ class ParetoModel final : public DetectionModel {
       const DetectionModelLimits&) const override {
     return {{"mu", 0.0, 1.0}};
   }
-  double probability(std::size_t day,
-                     std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    const double mu = zeta[0];
-    const double d = static_cast<double>(day);
-    const double exponent = std::log(d + 2.0) / (d + 1.0);
-    return 1.0 - std::pow(mu, exponent);  // Eq (6)
-  }
-  double log_survival(std::size_t day,
-                      std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    const double d = static_cast<double>(day);
-    return std::log(d + 2.0) / (d + 1.0) * std::log(zeta[0]);
-  }
-  void probabilities_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const auto& exponents = day_tables(days).pareto_exponent;
-    if (vectorized_) {
-      simd_kernels::pareto_detection(days, zeta[0], exponents, out, {});
-      return;
-    }
-    const double mu = zeta[0];
-    for (std::size_t day = 1; day <= days; ++day) {
-      out[day - 1] = 1.0 - std::pow(mu, exponents[day - 1]);
-    }
-  }
-  void log_survivals_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const auto& exponents = day_tables(days).pareto_exponent;
-    if (vectorized_) {
-      simd_kernels::pareto_detection(days, zeta[0], exponents, {}, out);
-      return;
-    }
-    const double log_mu = std::log(zeta[0]);
-    for (std::size_t day = 1; day <= days; ++day) {
-      out[day - 1] = exponents[day - 1] * log_mu;
-    }
-  }
-  void detection_into(std::size_t days, std::span<const double> zeta,
-                      std::span<double> probabilities_out,
-                      std::span<double> log_survivals_out) const override {
-    check_batch(*this, days, zeta, probabilities_out);
-    check_batch(*this, days, zeta, log_survivals_out);
-    const auto& exponents = day_tables(days).pareto_exponent;
-    if (vectorized_) {
-      simd_kernels::pareto_detection(days, zeta[0], exponents,
-                                     probabilities_out, log_survivals_out);
-      return;
-    }
+
+ protected:
+  void fill(std::size_t first_day, std::size_t last_day,
+            std::span<const double> zeta, std::span<double> p_out,
+            std::span<double> log_q_out) const override {
     const double mu = zeta[0];
     const double log_mu = std::log(mu);
-    for (std::size_t day = 1; day <= days; ++day) {
-      const double exponent = exponents[day - 1];
-      probabilities_out[day - 1] = 1.0 - std::pow(mu, exponent);
-      log_survivals_out[day - 1] = exponent * log_mu;
+    const auto& exponents = day_tables(last_day).pareto_exponent;
+    for (std::size_t day = first_day; day <= last_day; ++day) {
+      const std::size_t i = day - first_day;
+      const double exponent = exponents[day - 1];  // log(i+2) / (i+1)
+      if (!p_out.empty()) p_out[i] = 1.0 - std::pow(mu, exponent);  // Eq (6)
+      if (!log_q_out.empty()) log_q_out[i] = exponent * log_mu;
+    }
+  }
+  void fill_batch(std::size_t days, std::span<const double> zeta,
+                  std::span<double> p_out,
+                  std::span<double> log_q_out) const override {
+    if (vectorized_) {
+      simd_kernels::pareto_detection(days, zeta[0],
+                                     day_tables(days).pareto_exponent, p_out,
+                                     log_q_out);
+    } else {
+      fill(1, days, zeta, p_out, log_q_out);
     }
   }
 
@@ -319,84 +180,36 @@ class WeibullModel final : public DetectionModel {
       const DetectionModelLimits&) const override {
     return {{"mu", 0.0, 1.0}, {"omega", 0.0, 1.0}};
   }
-  double probability(std::size_t day,
-                     std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    const double mu = zeta[0];
-    const double omega = zeta[1];
-    const double d = static_cast<double>(day);
-    const double exponent = std::pow(d, omega) - std::pow(d - 1.0, omega);
-    return 1.0 - std::pow(mu, exponent);  // Eq (7)
-  }
-  double log_survival(std::size_t day,
-                      std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    const double d = static_cast<double>(day);
-    const double exponent =
-        std::pow(d, zeta[1]) - std::pow(d - 1.0, zeta[1]);
-    return exponent * std::log(zeta[0]);
-  }
-  // The batch channels carry pow(day, omega) across loop iterations:
-  // pow(d - 1, omega) at day d is exactly pow(d, omega) from day d - 1
-  // (integer days are exact doubles), so each day costs one day-power
-  // instead of two. Bit-identical by the identical-inputs rule.
-  void probabilities_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    if (vectorized_) {
-      simd_kernels::weibull_detection(days, zeta[0], zeta[1],
-                                      day_tables(days).log_day, out, {});
-      return;
-    }
-    const double mu = zeta[0];
-    const double omega = zeta[1];
-    double prev = std::pow(0.0, omega);
-    for (std::size_t day = 1; day <= days; ++day) {
-      const double cur = std::pow(static_cast<double>(day), omega);
-      out[day - 1] = 1.0 - std::pow(mu, cur - prev);
-      prev = cur;
-    }
-  }
-  void log_survivals_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    if (vectorized_) {
-      simd_kernels::weibull_detection(days, zeta[0], zeta[1],
-                                      day_tables(days).log_day, {}, out);
-      return;
-    }
-    const double omega = zeta[1];
-    const double log_mu = std::log(zeta[0]);
-    double prev = std::pow(0.0, omega);
-    for (std::size_t day = 1; day <= days; ++day) {
-      const double cur = std::pow(static_cast<double>(day), omega);
-      out[day - 1] = (cur - prev) * log_mu;
-      prev = cur;
-    }
-  }
-  void detection_into(std::size_t days, std::span<const double> zeta,
-                      std::span<double> probabilities_out,
-                      std::span<double> log_survivals_out) const override {
-    check_batch(*this, days, zeta, probabilities_out);
-    check_batch(*this, days, zeta, log_survivals_out);
-    if (vectorized_) {
-      simd_kernels::weibull_detection(days, zeta[0], zeta[1],
-                                      day_tables(days).log_day,
-                                      probabilities_out, log_survivals_out);
-      return;
-    }
+
+ protected:
+  // The loop carries pow(day, omega): pow(d - 1, omega) at day d is
+  // exactly pow(d, omega) from day d - 1 (integer days are exact doubles),
+  // so each day costs one day-power instead of two.
+  void fill(std::size_t first_day, std::size_t last_day,
+            std::span<const double> zeta, std::span<double> p_out,
+            std::span<double> log_q_out) const override {
     const double mu = zeta[0];
     const double omega = zeta[1];
     const double log_mu = std::log(mu);
-    double prev = std::pow(0.0, omega);
-    for (std::size_t day = 1; day <= days; ++day) {
+    double prev = std::pow(static_cast<double>(first_day - 1), omega);
+    for (std::size_t day = first_day; day <= last_day; ++day) {
+      const std::size_t i = day - first_day;
       const double cur = std::pow(static_cast<double>(day), omega);
       const double exponent = cur - prev;
-      probabilities_out[day - 1] = 1.0 - std::pow(mu, exponent);
-      log_survivals_out[day - 1] = exponent * log_mu;
+      if (!p_out.empty()) p_out[i] = 1.0 - std::pow(mu, exponent);  // Eq (7)
+      if (!log_q_out.empty()) log_q_out[i] = exponent * log_mu;
       prev = cur;
+    }
+  }
+  void fill_batch(std::size_t days, std::span<const double> zeta,
+                  std::span<double> p_out,
+                  std::span<double> log_q_out) const override {
+    if (vectorized_) {
+      simd_kernels::weibull_detection(days, zeta[0], zeta[1],
+                                      day_tables(days).log_day, p_out,
+                                      log_q_out);
+    } else {
+      fill(1, days, zeta, p_out, log_q_out);
     }
   }
 
@@ -415,49 +228,20 @@ class RayleighModel final : public DetectionModel {
       const DetectionModelLimits&) const override {
     return {{"mu", 0.0, 1.0}};
   }
-  double probability(std::size_t day,
-                     std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    // i^2 - (i-1)^2 = 2i - 1: the discrete Weibull of Eq (7) at shape 2,
-    // i.e. a linearly increasing hazard exponent.
-    const double exponent = 2.0 * static_cast<double>(day) - 1.0;
-    return 1.0 - std::pow(zeta[0], exponent);
-  }
-  double log_survival(std::size_t day,
-                      std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    return (2.0 * static_cast<double>(day) - 1.0) * std::log(zeta[0]);
-  }
-  void probabilities_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const double mu = zeta[0];
-    for (std::size_t day = 1; day <= days; ++day) {
-      const double exponent = 2.0 * static_cast<double>(day) - 1.0;
-      out[day - 1] = 1.0 - std::pow(mu, exponent);
-    }
-  }
-  void log_survivals_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const double log_mu = std::log(zeta[0]);
-    for (std::size_t day = 1; day <= days; ++day) {
-      out[day - 1] = (2.0 * static_cast<double>(day) - 1.0) * log_mu;
-    }
-  }
-  void detection_into(std::size_t days, std::span<const double> zeta,
-                      std::span<double> probabilities_out,
-                      std::span<double> log_survivals_out) const override {
-    check_batch(*this, days, zeta, probabilities_out);
-    check_batch(*this, days, zeta, log_survivals_out);
+
+ protected:
+  void fill(std::size_t first_day, std::size_t last_day,
+            std::span<const double> zeta, std::span<double> p_out,
+            std::span<double> log_q_out) const override {
     const double mu = zeta[0];
     const double log_mu = std::log(mu);
-    for (std::size_t day = 1; day <= days; ++day) {
+    for (std::size_t day = first_day; day <= last_day; ++day) {
+      const std::size_t i = day - first_day;
+      // i^2 - (i-1)^2 = 2i - 1: the discrete Weibull of Eq (7) at shape 2,
+      // i.e. a linearly increasing hazard exponent.
       const double exponent = 2.0 * static_cast<double>(day) - 1.0;
-      probabilities_out[day - 1] = 1.0 - std::pow(mu, exponent);
-      log_survivals_out[day - 1] = exponent * log_mu;
+      if (!p_out.empty()) p_out[i] = 1.0 - std::pow(mu, exponent);
+      if (!log_q_out.empty()) log_q_out[i] = exponent * log_mu;
     }
   }
 };
@@ -473,59 +257,26 @@ class LearningCurveModel final : public DetectionModel {
       const DetectionModelLimits& limits) const override {
     return {{"mu", 0.0, 1.0}, {"theta", 0.0, limits.theta_max}};
   }
-  double probability(std::size_t day,
-                     std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    const double mu = zeta[0];
-    const double theta_i = zeta[1] * static_cast<double>(day);
-    // Detection skill ramps from ~0 on day 1 toward the asymptote mu —
-    // the "testers learn the system" mirror image of model1 (which starts
-    // at 1 - mu and saturates at 1).
-    return mu * theta_i / (theta_i + 1.0);
-  }
-  double log_survival(std::size_t day,
-                      std::span<const double> zeta) const override {
-    check_zeta(*this, zeta);
-    SRM_EXPECTS(day >= 1, "day must be >= 1");
-    const double theta_i = zeta[1] * static_cast<double>(day);
-    // q = (theta i (1 - mu) + 1) / (theta i + 1) exactly.
-    return std::log(theta_i * (1.0 - zeta[0]) + 1.0) - std::log1p(theta_i);
-  }
-  void probabilities_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const double mu = zeta[0];
-    const double theta = zeta[1];
-    for (std::size_t day = 1; day <= days; ++day) {
-      const double theta_i = theta * static_cast<double>(day);
-      out[day - 1] = mu * theta_i / (theta_i + 1.0);
-    }
-  }
-  void log_survivals_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    check_batch(*this, days, zeta, out);
-    const double one_minus_mu = 1.0 - zeta[0];
-    const double theta = zeta[1];
-    for (std::size_t day = 1; day <= days; ++day) {
-      const double theta_i = theta * static_cast<double>(day);
-      out[day - 1] =
-          std::log(theta_i * one_minus_mu + 1.0) - std::log1p(theta_i);
-    }
-  }
-  void detection_into(std::size_t days, std::span<const double> zeta,
-                      std::span<double> probabilities_out,
-                      std::span<double> log_survivals_out) const override {
-    check_batch(*this, days, zeta, probabilities_out);
-    check_batch(*this, days, zeta, log_survivals_out);
+
+ protected:
+  void fill(std::size_t first_day, std::size_t last_day,
+            std::span<const double> zeta, std::span<double> p_out,
+            std::span<double> log_q_out) const override {
     const double mu = zeta[0];
     const double one_minus_mu = 1.0 - mu;
     const double theta = zeta[1];
-    for (std::size_t day = 1; day <= days; ++day) {
+    for (std::size_t day = first_day; day <= last_day; ++day) {
+      const std::size_t i = day - first_day;
       const double theta_i = theta * static_cast<double>(day);
-      probabilities_out[day - 1] = mu * theta_i / (theta_i + 1.0);
-      log_survivals_out[day - 1] =
-          std::log(theta_i * one_minus_mu + 1.0) - std::log1p(theta_i);
+      // Detection skill ramps from ~0 on day 1 toward the asymptote mu —
+      // the "testers learn the system" mirror image of model1 (which
+      // starts at 1 - mu and saturates at 1).
+      if (!p_out.empty()) p_out[i] = mu * theta_i / (theta_i + 1.0);
+      // q = (theta i (1 - mu) + 1) / (theta i + 1) exactly.
+      if (!log_q_out.empty()) {
+        log_q_out[i] =
+            std::log(theta_i * one_minus_mu + 1.0) - std::log1p(theta_i);
+      }
     }
   }
 };
@@ -553,54 +304,22 @@ class SizeBiasedDetection final : public DetectionModel {
     return {{"shape", 0.0, limits.sb_shape_max},
             {"scale", 0.0, limits.sb_scale_max}};
   }
-  double probability(std::size_t day,
-                     std::span<const double> zeta) const override {
-    return -std::expm1(log_survival(day, zeta));
-  }
-  double log_survival(std::size_t day,
-                      std::span<const double> zeta) const override {
+
+ protected:
+  // One log per day instead of two: log(scale + i - 1) at day i is exactly
+  // the log(scale + i) computed at day i - 1, so the loop carries it.
+  void fill(std::size_t first_day, std::size_t last_day,
+            std::span<const double> zeta, std::span<double> p_out,
+            std::span<double> log_q_out) const override {
     const double shape = zeta[0];
     const double scale = zeta[1];
-    return shape * (std::log(scale + static_cast<double>(day - 1)) -
-                    std::log(scale + static_cast<double>(day)));
-  }
-  // Batch channels: one log per day instead of two — log(scale + i - 1) at
-  // day i is exactly the log(scale + i) computed at day i - 1, so the loop
-  // carries it. Bit-identical to the scalar channel because the carried
-  // value is std::log of the same double (scale + double(day - 1)).
-  void probabilities_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    const double shape = zeta[0];
-    const double scale = zeta[1];
-    double prev = std::log(scale);
-    for (std::size_t i = 0; i < days; ++i) {
-      const double cur = std::log(scale + static_cast<double>(i + 1));
-      out[i] = -std::expm1(shape * (prev - cur));
-      prev = cur;
-    }
-  }
-  void log_survivals_into(std::size_t days, std::span<const double> zeta,
-                          std::span<double> out) const override {
-    const double shape = zeta[0];
-    const double scale = zeta[1];
-    double prev = std::log(scale);
-    for (std::size_t i = 0; i < days; ++i) {
-      const double cur = std::log(scale + static_cast<double>(i + 1));
-      out[i] = shape * (prev - cur);
-      prev = cur;
-    }
-  }
-  void detection_into(std::size_t days, std::span<const double> zeta,
-                      std::span<double> probabilities_out,
-                      std::span<double> log_survivals_out) const override {
-    const double shape = zeta[0];
-    const double scale = zeta[1];
-    double prev = std::log(scale);
-    for (std::size_t i = 0; i < days; ++i) {
-      const double cur = std::log(scale + static_cast<double>(i + 1));
+    double prev = std::log(scale + static_cast<double>(first_day - 1));
+    for (std::size_t day = first_day; day <= last_day; ++day) {
+      const std::size_t i = day - first_day;
+      const double cur = std::log(scale + static_cast<double>(day));
       const double log_q = shape * (prev - cur);
-      log_survivals_out[i] = log_q;
-      probabilities_out[i] = -std::expm1(log_q);
+      if (!p_out.empty()) p_out[i] = -std::expm1(log_q);
+      if (!log_q_out.empty()) log_q_out[i] = log_q;
       prev = cur;
     }
   }
@@ -661,13 +380,22 @@ std::vector<std::string> detection_model_names() {
   return names;
 }
 
+double DetectionModel::probability(std::size_t day,
+                                   std::span<const double> zeta) const {
+  SRM_EXPECTS(day >= 1 && zeta.size() == parameter_count(),
+              "probability requires a 1-based day and a full zeta vector");
+  double p = 0.0;
+  fill(day, day, zeta, {&p, 1}, {});
+  return p;
+}
+
 double DetectionModel::log_survival(std::size_t day,
                                     std::span<const double> zeta) const {
   SRM_EXPECTS(day >= 1 && zeta.size() == parameter_count(),
               "log_survival requires a 1-based day and a full zeta vector");
-  const double p = probability(day, zeta);
-  if (p >= 1.0) return -std::numeric_limits<double>::infinity();
-  return std::log1p(-p);
+  double log_q = 0.0;
+  fill(day, day, zeta, {}, {&log_q, 1});
+  return log_q;
 }
 
 void DetectionModel::probabilities_into(std::size_t days,
@@ -676,9 +404,7 @@ void DetectionModel::probabilities_into(std::size_t days,
   SRM_EXPECTS(zeta.size() == parameter_count() && out.size() >= days,
               "probabilities_into requires a full zeta vector and "
               "out.size() >= days");
-  for (std::size_t day = 1; day <= days; ++day) {
-    out[day - 1] = probability(day, zeta);
-  }
+  fill_batch(days, zeta, out.first(days), {});
 }
 
 void DetectionModel::log_survivals_into(std::size_t days,
@@ -687,9 +413,7 @@ void DetectionModel::log_survivals_into(std::size_t days,
   SRM_EXPECTS(zeta.size() == parameter_count() && out.size() >= days,
               "log_survivals_into requires a full zeta vector and "
               "out.size() >= days");
-  for (std::size_t day = 1; day <= days; ++day) {
-    out[day - 1] = log_survival(day, zeta);
-  }
+  fill_batch(days, zeta, {}, out.first(days));
 }
 
 void DetectionModel::detection_into(std::size_t days,
@@ -697,20 +421,13 @@ void DetectionModel::detection_into(std::size_t days,
                                     std::span<double> probabilities_out,
                                     std::span<double> log_survivals_out)
     const {
-  SRM_EXPECTS(probabilities_out.size() >= days &&
+  SRM_EXPECTS(zeta.size() == parameter_count() &&
+                  probabilities_out.size() >= days &&
                   log_survivals_out.size() >= days,
-              "detection_into requires both out buffers >= days");
-  probabilities_into(days, zeta, probabilities_out);
-  log_survivals_into(days, zeta, log_survivals_out);
-}
-
-std::vector<double> DetectionModel::log_survivals(
-    std::size_t days, std::span<const double> zeta) const {
-  SRM_EXPECTS(zeta.size() == parameter_count(),
-              "log_survivals requires a full zeta vector");
-  std::vector<double> log_q(days);
-  log_survivals_into(days, zeta, log_q);
-  return log_q;
+              "detection_into requires a full zeta vector and both out "
+              "buffers >= days");
+  fill_batch(days, zeta, probabilities_out.first(days),
+             log_survivals_out.first(days));
 }
 
 std::vector<double> DetectionModel::probabilities(
@@ -718,8 +435,17 @@ std::vector<double> DetectionModel::probabilities(
   SRM_EXPECTS(zeta.size() == parameter_count(),
               "probabilities requires a full zeta vector");
   std::vector<double> p(days);
-  probabilities_into(days, zeta, p);
+  fill_batch(days, zeta, p, {});
   return p;
+}
+
+std::vector<double> DetectionModel::log_survivals(
+    std::size_t days, std::span<const double> zeta) const {
+  SRM_EXPECTS(zeta.size() == parameter_count(),
+              "log_survivals requires a full zeta vector");
+  std::vector<double> log_q(days);
+  fill_batch(days, zeta, {}, log_q);
+  return log_q;
 }
 
 std::unique_ptr<DetectionModel> make_detection_model(DetectionModelKind kind,

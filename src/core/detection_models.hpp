@@ -97,6 +97,14 @@ struct DetectionModelLimits {
 };
 
 /// A bug-detection-probability model: zeta -> {p_1, p_2, ...}.
+///
+/// Each kind writes its formula once, as the day-range kernel `fill`. The
+/// public channels are not virtual: each checks its arguments once and
+/// calls that kernel, so every channel returns the same bits for the same
+/// (day, zeta) by construction — that identity is what keeps fixed-seed
+/// MCMC traces unchanged whichever channel a caller uses. The one fork is
+/// `vectorized` (see make_detection_model), which moves only the batch
+/// channels of model2/3/4.
 class DetectionModel {
  public:
   virtual ~DetectionModel() = default;
@@ -110,50 +118,39 @@ class DetectionModel {
 
   /// p_i for 1-based day i; result is guaranteed inside [0, 1].
   /// Preconditions: zeta.size() == parameter_count(), zeta inside support.
-  [[nodiscard]] virtual double probability(std::size_t day,
-                                           std::span<const double> zeta)
-      const = 0;
+  double probability(std::size_t day, std::span<const double> zeta) const;
 
   /// log(1 - p_i), computed WITHOUT forming p_i when a stable direct form
   /// exists. This matters for the power-form hazards (models 3/4/5): e.g.
   /// model5's q_i = mu^{2i-1} underflows double precision long before the
   /// analytic log q_i = (2i-1) log mu stops being finite, and the naive
   /// log1p(-probability(...)) would spuriously return -inf and poison the
-  /// likelihood. The default implementation is the naive formula; models
-  /// with power-form survival override it.
-  [[nodiscard]] virtual double log_survival(std::size_t day,
-                                            std::span<const double> zeta)
-      const;
+  /// likelihood.
+  double log_survival(std::size_t day, std::span<const double> zeta) const;
 
-  // --- batch channels (one virtual call per probe) ----------------------
+  // --- batch channels (one kernel call per probe) -----------------------
   //
   // The Gibbs kernel evaluates a full p_1..p_k / log q_1..log q_k sweep per
-  // slice-sampler probe; the scalar channel pays one virtual dispatch per
-  // day for that. The batch channel fills a caller-owned buffer in a single
-  // virtual call, and the per-model overrides hoist the day-invariant
-  // subexpressions (log mu, 1 - mu, day-indexed exponent tables).
-  //
-  // Bit-identity contract: every value written is bit-identical to the
-  // scalar channel's result for the same (day, zeta) — overrides may only
-  // hoist/cache/share subexpressions that the scalar formulas compute from
-  // identical inputs, never reassociate them.
+  // slice-sampler probe; the batch channels fill a caller-owned buffer in
+  // one kernel call, which hoists the day-invariant subexpressions
+  // (log mu, 1 - mu, day-indexed exponent tables). With `vectorized` set,
+  // model2/3/4 route these three channels (and the two vector
+  // conveniences) through the support/simd kernels instead.
 
   /// Fills out[i-1] = probability(i, zeta) for i = 1..days.
   /// Preconditions: zeta.size() == parameter_count(), out.size() >= days.
-  virtual void probabilities_into(std::size_t days,
-                                  std::span<const double> zeta,
-                                  std::span<double> out) const;
+  void probabilities_into(std::size_t days, std::span<const double> zeta,
+                          std::span<double> out) const;
 
   /// Fills out[i-1] = log_survival(i, zeta) for i = 1..days.
-  virtual void log_survivals_into(std::size_t days,
-                                  std::span<const double> zeta,
-                                  std::span<double> out) const;
+  void log_survivals_into(std::size_t days, std::span<const double> zeta,
+                          std::span<double> out) const;
 
   /// Both channels in one pass, sharing the per-day powers they have in
-  /// common (the dominant cost for the power-form hazards). Same contract.
-  virtual void detection_into(std::size_t days, std::span<const double> zeta,
-                              std::span<double> probabilities_out,
-                              std::span<double> log_survivals_out) const;
+  /// common (the dominant cost for the power-form hazards).
+  void detection_into(std::size_t days, std::span<const double> zeta,
+                      std::span<double> probabilities_out,
+                      std::span<double> log_survivals_out) const;
 
   /// Convenience: p_1..p_days (allocates; prefer probabilities_into in
   /// hot paths).
@@ -164,6 +161,27 @@ class DetectionModel {
   /// in hot paths).
   [[nodiscard]] std::vector<double> log_survivals(
       std::size_t days, std::span<const double> zeta) const;
+
+ protected:
+  /// The model's formula: for each 1-based day i in [first_day, last_day]
+  /// writes p_i to p_out[i - first_day] and log q_i to
+  /// log_q_out[i - first_day]. Either span may be empty to skip that
+  /// channel; the callers above have checked zeta and the span sizes.
+  /// A value must not depend on where the range starts: quantities carried
+  /// from day to day are seeded at first_day - 1, so a one-day range gives
+  /// the same bits as that day inside a full sweep.
+  virtual void fill(std::size_t first_day, std::size_t last_day,
+                    std::span<const double> zeta, std::span<double> p_out,
+                    std::span<double> log_q_out) const = 0;
+
+  /// Days 1..days for the batch channels. The kinds with a vectorized
+  /// kernel override this, which takes the `vectorized` fork once per
+  /// model; the single-day channels always run `fill`.
+  virtual void fill_batch(std::size_t days, std::span<const double> zeta,
+                          std::span<double> p_out,
+                          std::span<double> log_q_out) const {
+    fill(1, days, zeta, p_out, log_q_out);
+  }
 };
 
 /// Factory for the five paper models (plus extensions). With `vectorized`

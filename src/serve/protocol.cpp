@@ -67,7 +67,9 @@ data::BugCountData parse_project(const Json& value) {
     std::vector<std::int64_t> counts;
     for (const auto& entry : value.at("counts").as_array()) {
       counts.push_back(entry.as_int());
+      require_input(counts.back() >= 0, "project counts must be >= 0");
     }
+    require_input(!counts.empty(), "project counts must not be empty");
     return data::BugCountData(name, std::move(counts));
   }
   throw InvalidArgument(
@@ -97,9 +99,9 @@ mcmc::GibbsOptions parse_gibbs(const Json* value) {
       vectorized != nullptr) {
     gibbs.vectorized = vectorized->as_bool();
   }
-  SRM_EXPECTS(gibbs.chain_count >= 1, "gibbs.chains must be >= 1");
-  SRM_EXPECTS(gibbs.iterations >= 1, "gibbs.iterations must be >= 1");
-  SRM_EXPECTS(gibbs.thin >= 1, "gibbs.thin must be >= 1");
+  require_input(gibbs.chain_count >= 1, "gibbs.chains must be >= 1");
+  require_input(gibbs.iterations >= 1, "gibbs.iterations must be >= 1");
+  require_input(gibbs.thin >= 1, "gibbs.thin must be >= 1");
   return gibbs;
 }
 
@@ -271,7 +273,7 @@ Request parse_request(const Json& json) {
   }
   request.fit.observation_day =
       member_size(json, "day", request.project.days());
-  SRM_EXPECTS(request.fit.observation_day >= 1, "day must be >= 1");
+  require_input(request.fit.observation_day >= 1, "day must be >= 1");
   if (const Json* total = json.find("total"); total != nullptr) {
     request.fit.eventual_total = total->as_int();
   } else {
@@ -280,21 +282,21 @@ Request parse_request(const Json& json) {
 
   if (request.op == Op::kPredict) {
     request.fit_days = member_size(json, "fit_days", 0);
-    SRM_EXPECTS(request.fit_days >= 1 &&
-                    request.fit_days < request.project.days(),
-                "fit_days must name a strict prefix of the project's series");
+    require_input(
+        request.fit_days >= 1 && request.fit_days < request.project.days(),
+        "fit_days must name a strict prefix of the project's series");
   }
   if (request.op == Op::kRelease) {
     request.horizon = member_size(json, "horizon", request.horizon);
-    SRM_EXPECTS(request.horizon >= 1, "horizon must be >= 1");
+    require_input(request.horizon >= 1, "horizon must be >= 1");
     request.costs.cost_per_testing_day =
         member_double(json, "day_cost", request.costs.cost_per_testing_day);
     request.costs.cost_per_residual_bug =
         member_double(json, "bug_cost", request.costs.cost_per_residual_bug);
-    SRM_EXPECTS(request.costs.cost_per_testing_day > 0.0,
-                "day_cost must be > 0");
-    SRM_EXPECTS(request.costs.cost_per_residual_bug >= 0.0,
-                "bug_cost must be >= 0");
+    require_input(request.costs.cost_per_testing_day > 0.0,
+                  "day_cost must be > 0");
+    require_input(request.costs.cost_per_residual_bug >= 0.0,
+                  "bug_cost must be >= 0");
   }
   return request;
 }

@@ -103,7 +103,7 @@ CsvRows read_csv(std::istream& in) {
 
 CsvRows read_csv_file(const std::string& path) {
   std::ifstream in(path);
-  SRM_EXPECTS(in.good(), "cannot open CSV file: " + path);
+  require_input(in.good(), "cannot open CSV file: " + path);
   return read_csv(in);
 }
 

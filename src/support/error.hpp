@@ -39,6 +39,14 @@ class NumericError : public Error {
   explicit NumericError(const std::string& what) : Error(what) {}
 };
 
+/// Check of user input (CLI flags and files, serve requests): throws
+/// InvalidArgument carrying just `message`. SRM_EXPECTS is for contract
+/// violations; it adds the condition text and source location, which a
+/// user should never see.
+inline void require_input(bool ok, const std::string& message) {
+  if (!ok) throw InvalidArgument(message);
+}
+
 namespace detail {
 // Each thrower receives the name of the macro that fired so the exception
 // message attributes the failure to the check the source actually used

@@ -230,4 +230,83 @@ TEST(Cli, MissingCsvFails) {
   EXPECT_NE(result.err.find("csv"), std::string::npos);
 }
 
+// --- user errors read as plain messages ----------------------------------
+//
+// A bad flag value or a missing input file is user input, not a broken
+// contract: exit code 2 and exactly `error: <message>`, with no
+// SRM_EXPECTS report and no source location.
+
+void expect_plain_user_error(const std::string& command,
+                             const std::vector<std::string>& flags,
+                             const std::string& message) {
+  const auto result = run(command, flags);
+  EXPECT_EQ(result.code, 2) << command;
+  EXPECT_EQ(result.err, "error: " + message + "\n");
+  EXPECT_EQ(result.err.find("SRM_EXPECTS"), std::string::npos);
+  EXPECT_EQ(result.err.find(".cpp:"), std::string::npos);
+}
+
+TEST(CliUserErrors, UnknownFormat) {
+  expect_plain_user_error("fit", {"--csv", "sys1", "--format", "bogus"},
+                          "unknown --format 'bogus' (use table|json)");
+  expect_plain_user_error("select", {"--csv", "sys1", "--format", "bogus"},
+                          "unknown --format 'bogus' (use table|json)");
+  expect_plain_user_error("sweep", {"--csv", "sys1", "--format", "bogus"},
+                          "unknown --format 'bogus' (use table|json|csv)");
+  expect_plain_user_error("families", {"--format", "bogus"},
+                          "unknown --format 'bogus' (use table|markdown)");
+}
+
+TEST(CliUserErrors, FitDaysOutsideTheSeries) {
+  expect_plain_user_error("predict", {"--csv", "sys1", "--fit-days", "0"},
+                          "--fit-days must be a strict prefix of the series");
+}
+
+TEST(CliUserErrors, ZeroObservationDay) {
+  expect_plain_user_error("sweep", {"--csv", "sys1", "--obs-days", "48,0"},
+                          "--obs-days entries must be positive");
+}
+
+TEST(CliUserErrors, ResumeOrBudgetWithoutOut) {
+  expect_plain_user_error("sweep",
+                          {"--csv", "sys1", "--obs-days", "48", "--resume"},
+                          "--resume and --max-cells require --out DIR");
+  expect_plain_user_error(
+      "sweep", {"--csv", "sys1", "--obs-days", "48", "--max-cells", "4"},
+      "--resume and --max-cells require --out DIR");
+}
+
+TEST(CliUserErrors, SimulateWithoutADetectionParameter) {
+  expect_plain_user_error(
+      "simulate", {"--days", "20", "--model", "model1", "--mu", "0.9"},
+      "simulate with model1 requires --theta");
+}
+
+TEST(CliUserErrors, CsvFileThatCannotBeOpened) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "srm_no_such_series.csv")
+          .string();
+  expect_plain_user_error("fit", {"--csv", path},
+                          "cannot open CSV file: " + path);
+}
+
+TEST(CliUserErrors, ReleaseArgumentsAreCheckedBeforeTheFit) {
+  const std::vector<std::string> base = {"--csv", "ntds", "--iterations",
+                                         "40", "--burn-in", "10"};
+  const auto with = [&](const std::string& flag, const std::string& value) {
+    auto flags = base;
+    flags.push_back(flag);
+    flags.push_back(value);
+    return flags;
+  };
+  expect_plain_user_error("release", with("--horizon", "0"),
+                          "--horizon must be >= 1");
+  expect_plain_user_error("release", with("--day-cost", "0"),
+                          "--day-cost must be > 0");
+  expect_plain_user_error("release", with("--bug-cost", "-1"),
+                          "--bug-cost must be >= 0");
+  // Nothing of the fit was printed before the error.
+  EXPECT_EQ(run("release", with("--horizon", "0")).out, "");
+}
+
 }  // namespace

@@ -3,6 +3,9 @@
 // the fit-cell/sweep-artifact identity interop.
 #include "serve/protocol.hpp"
 
+#include <string>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "artifact/spec_hash.hpp"
@@ -148,6 +151,50 @@ TEST(ServeProtocol, InlineProjectsAreFirstClass) {
   EXPECT_EQ(request.project.days(), 3u);
   EXPECT_EQ(request.fit.observation_day, 2u);
   EXPECT_EQ(request.fit.eventual_total, 6);
+}
+
+/// The message a request's InvalidArgument carries ("" if none is thrown).
+std::string request_error(const std::string& text) {
+  try {
+    (void)serve::parse_request(parse(text));
+  } catch (const srm::InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ServeProtocol, UserErrorsCarryPlainMessages) {
+  // Bad request values are user input: the error line quotes the plain
+  // message, never a contract-violation report with a source location.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"op":"fit","project":"sys1","gibbs":{"chains":0}})",
+       "gibbs.chains must be >= 1"},
+      {R"({"op":"fit","project":"sys1","gibbs":{"iterations":0}})",
+       "gibbs.iterations must be >= 1"},
+      {R"({"op":"fit","project":"sys1","gibbs":{"thin":0}})",
+       "gibbs.thin must be >= 1"},
+      {R"({"op":"fit","project":"sys1","day":0})", "day must be >= 1"},
+      {R"({"op":"predict","project":"sys1","fit_days":0})",
+       "fit_days must name a strict prefix of the project's series"},
+      {R"({"op":"release","project":"sys1","horizon":0})",
+       "horizon must be >= 1"},
+      {R"({"op":"release","project":"sys1","day_cost":0})",
+       "day_cost must be > 0"},
+      {R"({"op":"release","project":"sys1","bug_cost":-1})",
+       "bug_cost must be >= 0"},
+  };
+  for (const auto& [request, message] : cases) {
+    EXPECT_EQ(request_error(request), message) << request;
+  }
+}
+
+TEST(ServeProtocol, InlineProjectCountsAreCheckedBeforeTheData) {
+  EXPECT_EQ(request_error(
+                R"({"op":"fit","project":{"name":"x","counts":[1,-2]}})"),
+            "project counts must be >= 0");
+  EXPECT_EQ(
+      request_error(R"({"op":"fit","project":{"name":"x","counts":[]}})"),
+      "project counts must not be empty");
 }
 
 }  // namespace
