@@ -108,11 +108,9 @@ mcmc::GibbsOptions parse_gibbs(const Args& args) {
   gibbs.iterations = args.get_size("iterations", 2500);
   gibbs.thin = args.get_size("thin", 1);
   gibbs.seed = static_cast<std::uint64_t>(args.get_int("seed", 20240624));
-  // Every reported number is bit-identical between the streaming and the
-  // stored-trace path, so the CLI defaults to streaming (O(1) memory in the
-  // retained draw count); --keep-traces restores full chain storage.
-  // The core helpers behind predict and release keep traces on their own.
-  gibbs.keep_traces = args.has("keep-traces");
+  // fit and select score every draw in-scan and never read stored draws;
+  // the core helpers behind predict and release keep traces on their own.
+  gibbs.keep_traces = false;
   // Opt-in SIMD batch kernels; forks result identity (see GibbsOptions).
   gibbs.vectorized = args.has("vectorized");
   return gibbs;
@@ -226,6 +224,14 @@ int run_select(const Args& args, std::ostream& out) {
   const auto config = parse_config(args);
   const std::string format = parse_format(args, {"table", "json"});
   reject_unused(args);
+  // chains x iterations >= kMinLooDraws, written so it cannot wrap.
+  require_input(gibbs.iterations >= 1 &&
+                    gibbs.chain_count >=
+                        (core::kMinLooDraws + gibbs.iterations - 1) /
+                            gibbs.iterations,
+                "select needs --chains x --iterations >= " +
+                    support::dec(core::kMinLooDraws) +
+                    " posterior draws for PSIS-LOO");
 
   struct Row {
     std::string prior;
@@ -246,29 +252,21 @@ int run_select(const Args& args, std::ostream& out) {
       const auto model = core::make_model(entry.kind, kind, data, config,
                                           gibbs);
       Row row{entry.id, core::to_string(kind), {}, 0.0, {}, 0.0};
-      if (gibbs.keep_traces) {
-        const auto run = mcmc::run_gibbs(*model, gibbs);
-        row.waic = core::compute_waic(*model, run);
-        row.looic = core::compute_psis_loo(*model, run).looic;
-        row.posterior = core::summarize_residual_posterior(run);
-      } else {
-        // Streaming path: score each draw in-scan; PSIS-LOO still needs the
-        // raw pointwise columns for its tail fits, so the scorer keeps the
-        // flat matrix while the traces themselves are never stored.
-        core::StreamingScorer scorer(*model, gibbs.chain_count,
-                                     gibbs.iterations, /*keep_matrix=*/true);
-        core::ResidualAccumulator residual(model->residual_index(),
-                                           gibbs.chain_count,
-                                           gibbs.iterations);
-        const std::array<mcmc::PosteriorAccumulator*, 2> sinks{&scorer,
-                                                               &residual};
-        mcmc::run_gibbs(*model, gibbs, sinks);
-        row.waic = scorer.waic();
-        row.looic =
-            core::compute_psis_loo_from_matrix(scorer.log_likelihood_matrix())
-                .looic;
-        row.posterior = residual.finalize();
-      }
+      // Score each draw in-scan; PSIS-LOO still needs the raw pointwise
+      // columns for its tail fits, so the scorer keeps the flat matrix
+      // while the traces themselves are never stored.
+      core::StreamingScorer scorer(*model, gibbs.chain_count,
+                                   gibbs.iterations, /*keep_matrix=*/true);
+      core::ResidualAccumulator residual(model->residual_index(),
+                                         gibbs.chain_count, gibbs.iterations);
+      const std::array<mcmc::PosteriorAccumulator*, 2> sinks{&scorer,
+                                                             &residual};
+      mcmc::run_gibbs(*model, gibbs, sinks);
+      row.waic = scorer.waic();
+      row.looic =
+          core::compute_psis_loo_from_matrix(scorer.log_likelihood_matrix())
+              .looic;
+      row.posterior = residual.finalize();
       rows.push_back(std::move(row));
     }
   }
@@ -502,7 +500,6 @@ int run_sweep(const Args& args, std::ostream& out) {
   options.gibbs.thin = args.get_size("thin", options.gibbs.thin);
   options.gibbs.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<std::int64_t>(options.gibbs.seed)));
-  if (args.has("keep-traces")) options.gibbs.keep_traces = true;
   if (args.has("vectorized")) options.gibbs.vectorized = true;
   options.base_config.lambda_max =
       args.get_double("lambda-max", options.base_config.lambda_max);
@@ -624,8 +621,6 @@ std::string usage() {
       "  --model " + joined(core::detection_model_names()) +
       ", --chains, --burn-in, --iterations, --seed,\n"
       "  --thin N        keep every N-th retained scan (default 1)\n"
-      "  --keep-traces   store full chains instead of streaming accumulators\n"
-      "                  (identical output; only memory use differs)\n"
       "  --vectorized    SIMD detection kernels for model2/3/4 (faster, but\n"
       "                  draws differ from scalar at the ULP level, so\n"
       "                  artifact/serve hashes change with this flag)\n"

@@ -516,4 +516,15 @@ double BayesianSrm::log_joint(std::span<const double> state) const {
          log_likelihood(data_, n, detection_probabilities(zeta));
 }
 
+std::unique_ptr<BayesianSrm> make_model(PriorKind prior,
+                                        DetectionModelKind model,
+                                        data::BugCountData data,
+                                        const HyperPriorConfig& config,
+                                        const mcmc::GibbsOptions& gibbs) {
+  validate_family_model(prior, model);
+  validate_family_gibbs(prior, config, gibbs);
+  return std::make_unique<BayesianSrm>(prior, model, std::move(data), config,
+                                       gibbs.vectorized);
+}
+
 }  // namespace srm::core

@@ -41,7 +41,12 @@
 
 namespace srm::core {
 
-class BayesianSrm final : public SrmModel {
+/// The one model type of every registered family: the Gibbs-sampleable
+/// state plus the channels the estimation pipeline consumes downstream of
+/// the sampler — pointwise log-likelihood rows (WAIC/LOO/streaming
+/// scoring), the state-vector layout (residual slot, detection-parameter
+/// block), and the detection model for out-of-window prediction.
+class BayesianSrm final : public mcmc::GibbsModel {
  public:
   /// `vectorized` routes the detection batch channels and the pointwise
   /// log-likelihood fill through the support/simd kernels (models that
@@ -82,32 +87,45 @@ class BayesianSrm final : public SrmModel {
               mcmc::GibbsWorkspace* workspace) const override;
   using mcmc::GibbsModel::update;
 
-  // --- core::SrmModel ----------------------------------------------------
-  [[nodiscard]] PriorKind family() const override { return prior_; }
+  // --- accessors ----------------------------------------------------------
+  /// Registry key of the family this model belongs to.
+  [[nodiscard]] PriorKind prior() const { return prior_; }
+  [[nodiscard]] const data::BugCountData& data() const { return data_; }
+  [[nodiscard]] const HyperPriorConfig& config() const { return config_; }
+
+  // --- state-vector layout ------------------------------------------------
+  /// Index of the residual bug count R in the state vector.
+  [[nodiscard]] std::size_t residual_index() const { return 0; }
   /// Index of the first detection-model parameter.
-  [[nodiscard]] std::size_t zeta_offset() const override {
+  [[nodiscard]] std::size_t zeta_offset() const {
     return poisson_content() ? 2 : 3;
   }
-  [[nodiscard]] std::size_t state_size() const override {
+  [[nodiscard]] std::size_t state_size() const {
     return zeta_offset() + model_->parameter_count();
   }
-  [[nodiscard]] const DetectionModel& detection_model() const override {
+
+  /// The family's detection model; probability(day, zeta) extrapolates past
+  /// the fitted window for holdout scoring and release planning.
+  [[nodiscard]] const DetectionModel& detection_model() const {
     return *model_;
   }
-  [[nodiscard]] const data::BugCountData& data() const override {
-    return data_;
-  }
-  [[nodiscard]] const HyperPriorConfig& config() const override {
-    return config_;
-  }
+
+  // --- scoring ------------------------------------------------------------
+  /// True when `workspace` came from this model's make_workspace() — i.e.
+  /// pointwise_row may consume it. Streaming sinks receive whatever
+  /// workspace the sampler ran with and fall back to their own per-chain
+  /// workspace when this says no.
   [[nodiscard]] bool is_scan_workspace(
-      const mcmc::GibbsWorkspace& workspace) const override;
+      const mcmc::GibbsWorkspace& workspace) const;
+
+  /// Fills out[i-1] = log P(X_i = x_i | state) for day i = 1..data().days()
+  /// — the WAIC/LOO ingredient. `workspace` must satisfy
+  /// is_scan_workspace(); the fill is allocation-free and bit-identical for
+  /// any workspace history (streaming scoring and stored-trace replay score
+  /// through this same call).
   void pointwise_row(std::span<const double> state,
                      mcmc::GibbsWorkspace& workspace,
-                     std::span<double> out) const override;
-
-  // --- accessors ----------------------------------------------------------
-  [[nodiscard]] PriorKind prior() const { return prior_; }
+                     std::span<double> out) const;
 
   // --- derived quantities -------------------------------------------------
   /// p_1..p_k for the given detection parameters.
@@ -176,5 +194,14 @@ class BayesianSrm final : public SrmModel {
   bool vectorized_ = false;
   std::vector<ParameterSupport> zeta_supports_;
 };
+
+/// Constructs one estimation cell's model after validate_family_model and
+/// validate_family_gibbs; the single construction path for fit/select/
+/// sweep/serve cells. Default Gibbs options: scalar, no identity forks.
+std::unique_ptr<BayesianSrm> make_model(PriorKind family,
+                                        DetectionModelKind model,
+                                        data::BugCountData data,
+                                        const HyperPriorConfig& config,
+                                        const mcmc::GibbsOptions& gibbs = {});
 
 }  // namespace srm::core

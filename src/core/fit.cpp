@@ -8,6 +8,7 @@
 #include "diagnostics/online.hpp"
 #include "mcmc/accumulator.hpp"
 #include "support/error.hpp"
+#include "support/format.hpp"
 
 namespace srm::core {
 
@@ -40,47 +41,35 @@ ObservationResult fit_cell(const data::BugCountData& base,
   SRM_EXPECTS(request.observation_day >= 1, "observation day must be >= 1");
   const auto observed = dataset_at_observation(base, request.observation_day);
 
-  const auto model_ptr = make_model(request.prior, request.model, observed,
-                                    request.config, request.gibbs);
-  const SrmModel& model = *model_ptr;
+  const auto model = make_model(request.prior, request.model, observed,
+                                request.config, request.gibbs);
+  require_input(request.gibbs.iterations >= kMinFitIterations,
+                "gibbs.iterations must be >= " +
+                    support::dec(kMinFitIterations) +
+                    " to fit a cell (the Geweke diagnostic's first window "
+                    "needs 4 draws per chain)");
 
-  // Every per-parameter statistic and the residual summary come from these
-  // accumulators in both modes; with keep_traces the draws are stored and
-  // replayed through them, without it they are fed in-scan. Same sinks,
-  // same per-chain order => bit-identical results.
-  diagnostics::ParameterStatsAccumulator stats(model.state_size(),
+  // The scorer consumes each draw's fresh workspace buffers in-scan; no
+  // pointwise matrix and no second likelihood pass. keep_traces only
+  // decides whether run_gibbs also stores the draws.
+  StreamingScorer scorer(*model, request.gibbs.chain_count,
+                         request.gibbs.iterations);
+  diagnostics::ParameterStatsAccumulator stats(model->state_size(),
                                                request.gibbs.chain_count,
                                                request.gibbs.iterations);
-  ResidualAccumulator residual(model.residual_index(),
+  ResidualAccumulator residual(model->residual_index(),
                                request.gibbs.chain_count,
                                request.gibbs.iterations);
+  const std::array<mcmc::PosteriorAccumulator*, 3> sinks{&scorer, &stats,
+                                                         &residual};
+  const auto run = mcmc::run_gibbs(*model, request.gibbs, sinks);
+  const auto names = run.parameter_names();
 
   ObservationResult result;
   result.observation_day = request.observation_day;
   result.detected_so_far = observed.total();
   result.actual_residual = request.eventual_total - observed.total();
-
-  std::vector<std::string> names;
-  if (request.gibbs.keep_traces) {
-    // Stored-trace mode: sample, then replay the traces through the sinks
-    // and score the pointwise matrix (the memory-heavy comparator path).
-    const auto run = mcmc::run_gibbs(model, request.gibbs);
-    names = run.parameter_names();
-    const std::array<mcmc::PosteriorAccumulator*, 2> sinks{&stats, &residual};
-    mcmc::replay(run, sinks);
-    result.waic = compute_waic(model, run);
-  } else {
-    // Streaming mode: the scorer consumes each draw's fresh workspace
-    // buffers in-scan; no traces, no pointwise matrix, no second
-    // likelihood pass.
-    StreamingScorer scorer(model, request.gibbs.chain_count,
-                           request.gibbs.iterations);
-    const std::array<mcmc::PosteriorAccumulator*, 3> sinks{&scorer, &stats,
-                                                           &residual};
-    const auto run = mcmc::run_gibbs(model, request.gibbs, sinks);
-    names = run.parameter_names();
-    result.waic = scorer.waic();
-  }
+  result.waic = scorer.waic();
   result.posterior = residual.finalize();
 
   for (std::size_t p = 0; p < names.size(); ++p) {

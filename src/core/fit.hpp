@@ -1,6 +1,6 @@
 // The single-cell fit API — one (dataset, prior, model, config, Gibbs
-// settings, observation day) posterior, computed in streaming or
-// stored-trace mode.
+// settings, observation day) posterior, scored and summarised in-scan by
+// the streaming sinks.
 //
 // This is the one code path every frontend shares: the CLI `fit` command,
 // every cell of the 2x5x9 evaluation sweep (report/sweep.cpp via
@@ -41,11 +41,17 @@ struct FitRequest {
 [[nodiscard]] FitRequest single_cell_request(const ExperimentSpec& spec,
                                              std::size_t observation_day);
 
+/// Fewest retained draws per chain fit_cell accepts: the Geweke
+/// diagnostic's first window (10% of a chain) must hold 4 draws.
+inline constexpr std::size_t kMinFitIterations = 40;
+
 /// Fits the requested SRM on `base` seen at the request's observation day
 /// (truncate + zero-pad, Section 5.1) and returns the residual-bug
 /// posterior, WAIC and per-parameter convergence diagnostics. Deterministic
 /// given the request: bit-identical for any worker count, with or without
-/// keep_traces.
+/// keep_traces. Throws support::InvalidArgument before sampling when the
+/// settings cannot run (see validate_family_gibbs) or when
+/// gibbs.iterations < kMinFitIterations.
 ObservationResult fit_cell(const data::BugCountData& base,
                            const FitRequest& request);
 

@@ -55,7 +55,7 @@ double pareto_smooth_log_weights(std::vector<double>& log_weights) {
   return gpd.k();
 }
 
-LooResult compute_psis_loo(const SrmModel& model, const mcmc::McmcRun& run) {
+LooResult compute_psis_loo(const BayesianSrm& model, const mcmc::McmcRun& run) {
   SRM_EXPECTS(run.parameter_names().size() == model.state_size(),
               "McmcRun does not match the model's state layout");
   // Collect log p(x_i | omega_s) for all (i, s), in parallel over draws.
@@ -66,7 +66,7 @@ LooResult compute_psis_loo(const SrmModel& model, const mcmc::McmcRun& run) {
 LooResult compute_psis_loo_from_matrix(const support::Matrix& log_lik) {
   const std::size_t k = log_lik.rows();
   const std::size_t total_samples = log_lik.cols();
-  SRM_EXPECTS(total_samples >= 25,
+  SRM_EXPECTS(total_samples >= kMinLooDraws,
               "PSIS-LOO needs a reasonable number of posterior draws");
 
   LooResult result;

@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "core/model_family.hpp"
+#include "core/bayes_srm.hpp"
 #include "mcmc/trace.hpp"
 #include "support/matrix.hpp"
 
@@ -35,8 +35,11 @@ struct LooResult {
 /// The k-hat reliability threshold of Vehtari et al.
 inline constexpr double kParetoKThreshold = 0.7;
 
+/// Fewest pooled posterior draws PSIS-LOO accepts.
+inline constexpr std::size_t kMinLooDraws = 25;
+
 /// Computes PSIS-LOO for `model` from the retained samples in `run`.
-LooResult compute_psis_loo(const SrmModel& model, const mcmc::McmcRun& run);
+LooResult compute_psis_loo(const BayesianSrm& model, const mcmc::McmcRun& run);
 
 /// PSIS-LOO from a pre-built pointwise log-likelihood matrix (rows = data
 /// points, columns = draws) — the entry point the streaming pipeline uses

@@ -1,9 +1,7 @@
 #include "core/model_family.hpp"
 
 #include <algorithm>
-#include <utility>
 
-#include "core/bayes_srm.hpp"
 #include "support/error.hpp"
 
 namespace srm::core {
@@ -19,93 +17,62 @@ std::string accepted_model_names(const ModelFamily& family) {
   return names;
 }
 
-void register_poisson_family(ModelFamilyRegistry& registry) {
-  ModelFamily family;
-  family.kind = PriorKind::kPoisson;
-  family.id = "poisson";
-  family.display_name = "Poisson prior (NHPP)";
-  family.table_title = "(i) Poisson prior.";
-  family.summary =
-      "Poisson(lambda0) initial bug content — the NHPP-based SRM "
-      "(Rallis-Lansdowne), lambda0 under a uniform hyperprior";
-  family.reference = "Rallis-Lansdowne; source paper Sec. 3.1";
-  family.reproduction = true;
+std::vector<ModelFamily> shipped_families() {
+  // The Poisson and negative binomial families select the paper's five
+  // detection models and also accept the library extensions.
   const auto paper = all_detection_model_kinds();
   const auto extended = extended_detection_model_kinds();
-  family.selection_models.assign(paper.begin(), paper.end());
-  family.accepted_models.assign(paper.begin(), paper.end());
-  family.accepted_models.insert(family.accepted_models.end(),
-                                extended.begin(), extended.end());
-  family.default_model = DetectionModelKind::kConstant;
-  family.hyper_parameter_names = {"lambda0"};
-  family.tuned_scale = TunedScale::kLambdaMax;
-  family.supports_vectorized = true;
-  family.make = [](DetectionModelKind model, data::BugCountData data,
-                   const HyperPriorConfig& config,
-                   bool vectorized) -> std::unique_ptr<SrmModel> {
-    return std::make_unique<BayesianSrm>(PriorKind::kPoisson, model,
-                                         std::move(data), config, vectorized);
+  const std::vector<DetectionModelKind> paper_models(paper.begin(),
+                                                     paper.end());
+  auto accepted = paper_models;
+  accepted.insert(accepted.end(), extended.begin(), extended.end());
+  return {
+      {.kind = PriorKind::kPoisson,
+       .id = "poisson",
+       .display_name = "Poisson prior (NHPP)",
+       .table_title = "(i) Poisson prior.",
+       .summary = "Poisson(lambda0) initial bug content — the NHPP-based SRM "
+                  "(Rallis-Lansdowne), lambda0 under a uniform hyperprior",
+       .reference = "Rallis-Lansdowne; source paper Sec. 3.1",
+       .reproduction = true,
+       .selection_models = paper_models,
+       .accepted_models = accepted,
+       .default_model = DetectionModelKind::kConstant,
+       .hyper_parameter_names = {"lambda0"},
+       .tuned_scale = TunedScale::kLambdaMax,
+       .supports_vectorized = true},
+      {.kind = PriorKind::kNegativeBinomial,
+       .id = "negbin",
+       .display_name = "Negative binomial prior (NHMPP)",
+       .table_title = "(ii) Negative binomial prior.",
+       .summary =
+           "NegBin(alpha0, beta0) initial bug content — the NHMPP-based SRM "
+           "(heterogeneous Chun), alpha0 slice-sampled under a uniform "
+           "hyperprior",
+       .reference = "heterogeneous Chun; source paper Sec. 3.2",
+       .reproduction = true,
+       .selection_models = paper_models,
+       .accepted_models = accepted,
+       .default_model = DetectionModelKind::kConstant,
+       .hyper_parameter_names = {"alpha0", "beta0"},
+       .tuned_scale = TunedScale::kAlphaMax,
+       .supports_vectorized = true},
+      {.kind = PriorKind::kSizeBiased,
+       .id = "sizebiased",
+       .display_name = "Size-biased prior (multinomial)",
+       .table_title = "(iii) Size-biased prior.",
+       .summary = "Poisson(lambda0) bug content with per-bug Gamma(shape, "
+                  "scale) detectability thinned day by day — big bugs found "
+                  "first (Dey-Chakraborty)",
+       .reference = "Dey-Chakraborty, arXiv:2202.08107 / 2406.04360",
+       .reproduction = false,
+       .selection_models = {DetectionModelKind::kSizeBiasedMultinomial},
+       .accepted_models = {DetectionModelKind::kSizeBiasedMultinomial},
+       .default_model = DetectionModelKind::kSizeBiasedMultinomial,
+       .hyper_parameter_names = {"lambda0"},
+       .tuned_scale = TunedScale::kLambdaMax,
+       .supports_vectorized = false},
   };
-  registry.add(std::move(family));
-}
-
-void register_negative_binomial_family(ModelFamilyRegistry& registry) {
-  ModelFamily family;
-  family.kind = PriorKind::kNegativeBinomial;
-  family.id = "negbin";
-  family.display_name = "Negative binomial prior (NHMPP)";
-  family.table_title = "(ii) Negative binomial prior.";
-  family.summary =
-      "NegBin(alpha0, beta0) initial bug content — the NHMPP-based SRM "
-      "(heterogeneous Chun), alpha0 slice-sampled under a uniform hyperprior";
-  family.reference = "heterogeneous Chun; source paper Sec. 3.2";
-  family.reproduction = true;
-  const auto paper = all_detection_model_kinds();
-  const auto extended = extended_detection_model_kinds();
-  family.selection_models.assign(paper.begin(), paper.end());
-  family.accepted_models.assign(paper.begin(), paper.end());
-  family.accepted_models.insert(family.accepted_models.end(),
-                                extended.begin(), extended.end());
-  family.default_model = DetectionModelKind::kConstant;
-  family.hyper_parameter_names = {"alpha0", "beta0"};
-  family.tuned_scale = TunedScale::kAlphaMax;
-  family.supports_vectorized = true;
-  family.make = [](DetectionModelKind model, data::BugCountData data,
-                   const HyperPriorConfig& config,
-                   bool vectorized) -> std::unique_ptr<SrmModel> {
-    return std::make_unique<BayesianSrm>(PriorKind::kNegativeBinomial, model,
-                                         std::move(data), config, vectorized);
-  };
-  registry.add(std::move(family));
-}
-
-void register_size_biased_family(ModelFamilyRegistry& registry) {
-  ModelFamily family;
-  family.kind = PriorKind::kSizeBiased;
-  family.id = "sizebiased";
-  family.display_name = "Size-biased prior (multinomial)";
-  family.table_title = "(iii) Size-biased prior.";
-  family.summary =
-      "Poisson(lambda0) bug content with per-bug Gamma(shape, scale) "
-      "detectability thinned day by day — big bugs found first "
-      "(Dey-Chakraborty)";
-  family.reference = "Dey-Chakraborty, arXiv:2202.08107 / 2406.04360";
-  family.reproduction = false;
-  family.selection_models = {DetectionModelKind::kSizeBiasedMultinomial};
-  family.accepted_models = {DetectionModelKind::kSizeBiasedMultinomial};
-  family.default_model = DetectionModelKind::kSizeBiasedMultinomial;
-  family.hyper_parameter_names = {"lambda0"};
-  family.tuned_scale = TunedScale::kLambdaMax;
-  family.supports_vectorized = false;
-  family.make = [](DetectionModelKind model, data::BugCountData data,
-                   const HyperPriorConfig& config,
-                   bool vectorized) -> std::unique_ptr<SrmModel> {
-    SRM_EXPECTS(!vectorized,
-                "the size-biased family has no --vectorized fork");
-    return std::make_unique<BayesianSrm>(PriorKind::kSizeBiased, model,
-                                         std::move(data), config);
-  };
-  registry.add(std::move(family));
 }
 
 }  // namespace
@@ -129,69 +96,23 @@ std::optional<SamplerScheme> sampler_scheme_from_string(
   return std::nullopt;
 }
 
-void ModelFamilyRegistry::add(ModelFamily family) {
-  SRM_EXPECTS(!family.id.empty(), "model family id must be non-empty");
-  SRM_EXPECTS(!family.table_title.empty(),
-              "model family table title must be non-empty");
-  SRM_EXPECTS(family.make != nullptr, "model family needs a factory");
-  SRM_EXPECTS(!family.selection_models.empty(),
-              "model family needs at least one selection model");
-  if (find(family.id) != nullptr) {
-    throw InvalidArgument("duplicate model family id: " + family.id);
-  }
-  for (const ModelFamily& existing : families_) {
-    if (existing.kind == family.kind) {
-      throw InvalidArgument("duplicate model family kind for id: " +
-                            family.id);
-    }
-  }
-  for (const auto kind : family.selection_models) {
-    if (std::find(family.accepted_models.begin(),
-                  family.accepted_models.end(),
-                  kind) == family.accepted_models.end()) {
-      throw InvalidArgument("model family " + family.id +
-                            " selects a detection model it does not accept: " +
-                            to_string(kind));
-    }
-  }
-  families_.push_back(std::move(family));
+const ModelFamilyRegistry& model_families() {
+  static const ModelFamilyRegistry registry(shipped_families());
+  return registry;
 }
 
-const ModelFamily& ModelFamilyRegistry::family(PriorKind kind) const {
-  for (const ModelFamily& entry : families_) {
+const ModelFamily& family(PriorKind kind) {
+  for (const ModelFamily& entry : model_families().families()) {
     if (entry.kind == kind) return entry;
   }
   throw InvalidArgument("model family kind is not registered");
 }
 
-const ModelFamily* ModelFamilyRegistry::find(std::string_view id) const {
-  for (const ModelFamily& entry : families_) {
+const ModelFamily* find_family(std::string_view id) {
+  for (const ModelFamily& entry : model_families().families()) {
     if (entry.id == id) return &entry;
   }
   return nullptr;
-}
-
-const ModelFamilyRegistry& ModelFamilyRegistry::instance() {
-  static const ModelFamilyRegistry registry = [] {
-    ModelFamilyRegistry bootstrap;
-    register_poisson_family(bootstrap);
-    register_negative_binomial_family(bootstrap);
-    register_size_biased_family(bootstrap);
-    return bootstrap;
-  }();
-  return registry;
-}
-
-const ModelFamilyRegistry& model_families() {
-  return ModelFamilyRegistry::instance();
-}
-
-const ModelFamily& family(PriorKind kind) {
-  return model_families().family(kind);
-}
-
-const ModelFamily* find_family(std::string_view id) {
-  return model_families().find(id);
 }
 
 std::string family_ids_joined(char separator) {
@@ -222,32 +143,23 @@ void validate_family_model(PriorKind prior, DetectionModelKind model) {
                         "; use " + accepted_model_names(entry));
 }
 
-void validate_family_gibbs(PriorKind prior,
+void validate_family_gibbs(PriorKind prior, const HyperPriorConfig& config,
                            const mcmc::GibbsOptions& gibbs) {
+  require_input(gibbs.chain_count >= 1, "gibbs.chains must be >= 1");
+  require_input(gibbs.iterations >= 1, "gibbs.iterations must be >= 1");
+  require_input(gibbs.thin >= 1, "gibbs.thin must be >= 1");
+  require_input(config.lambda_max > 0.0, "config.lambda_max must be > 0");
+  // The size-biased family reads neither alpha_max nor theta_max.
+  if (prior != PriorKind::kSizeBiased) {
+    require_input(config.alpha_max > 0.0, "config.alpha_max must be > 0");
+    require_input(config.limits.theta_max > 0.0,
+                  "config.theta_max must be > 0");
+  }
   const ModelFamily& entry = family(prior);
   if (gibbs.vectorized && !entry.supports_vectorized) {
     throw InvalidArgument("family " + entry.id +
                           " does not implement the --vectorized fork");
   }
-}
-
-std::unique_ptr<SrmModel> make_model(PriorKind prior,
-                                     DetectionModelKind model,
-                                     data::BugCountData data,
-                                     const HyperPriorConfig& config,
-                                     const mcmc::GibbsOptions& gibbs) {
-  validate_family_model(prior, model);
-  validate_family_gibbs(prior, gibbs);
-  return family(prior).make(model, std::move(data), config, gibbs.vectorized);
-}
-
-std::unique_ptr<SrmModel> make_model(PriorKind prior,
-                                     DetectionModelKind model,
-                                     data::BugCountData data,
-                                     const HyperPriorConfig& config) {
-  validate_family_model(prior, model);
-  return family(prior).make(model, std::move(data), config,
-                            /*vectorized=*/false);
 }
 
 std::string render_family_table_markdown() {

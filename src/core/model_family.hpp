@@ -1,11 +1,10 @@
-// The model-family registry: one declarative record per Bayesian SRM
-// family (prior structure x detection likelihood), bundling everything the
-// outer layers used to hard-code per family —
+// The model-family registry: one constant record per Bayesian SRM family
+// (prior structure x detection likelihood), bundling everything the outer
+// layers used to hard-code per family —
 //
-//   * construction: a factory returning the family's SrmModel (a
-//     mcmc::GibbsModel with the scoring/prediction channels the estimation
-//     pipeline needs), plus a capability flag for the --vectorized
-//     result-identity fork;
+//   * construction capability: whether the family's sampler implements the
+//     --vectorized result-identity fork (core::make_model in bayes_srm.hpp
+//     builds every family's BayesianSrm directly);
 //   * parameter metadata: hyper-parameter names and which hyperprior limit
 //     the WAIC tuning grid searches;
 //   * canonical serialization identity: the stable id string used by the
@@ -18,20 +17,18 @@
 // Every switch/if-chain over PriorKind/DetectionModelKind outside src/core/
 // is banned (srm-lint rule `family-dispatch`): mle/, report/, artifact/,
 // cli/ and serve/ consult the registry instead, so a new family lands as a
-// registry record plus, where it needs one, a DetectionModel — the
-// size-biased family is exactly that, sampled by the shared BayesianSrm
+// record in model_family.cpp plus, where it needs one, a DetectionModel —
+// the size-biased family is exactly that, sampled by the shared BayesianSrm
 // scan.
 #pragma once
 
-#include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/detection_models.hpp"
-#include "data/bug_count_data.hpp"
 #include "mcmc/gibbs.hpp"
 
 namespace srm::core {
@@ -91,57 +88,14 @@ struct HyperPriorConfig {
   SamplerScheme scheme = SamplerScheme::kCollapsed;
 };
 
-/// A fitted-family model: the Gibbs-sampleable state plus the channels the
-/// estimation pipeline consumes downstream of the sampler — pointwise
-/// log-likelihood rows (WAIC/LOO/streaming scoring), the state-vector
-/// layout (residual slot, detection-parameter block), and the detection
-/// model for out-of-window prediction. BayesianSrm is the implementation
-/// every registered family constructs.
-class SrmModel : public mcmc::GibbsModel {
- public:
-  /// Registry key of the family this model belongs to.
-  [[nodiscard]] virtual PriorKind family() const = 0;
-
-  [[nodiscard]] virtual const data::BugCountData& data() const = 0;
-  [[nodiscard]] virtual const HyperPriorConfig& config() const = 0;
-
-  // --- state-vector layout ------------------------------------------------
-  /// Index of the residual bug count R in the state vector.
-  [[nodiscard]] virtual std::size_t residual_index() const { return 0; }
-  /// Index of the first detection-model parameter.
-  [[nodiscard]] virtual std::size_t zeta_offset() const = 0;
-  [[nodiscard]] virtual std::size_t state_size() const = 0;
-
-  /// The family's detection model; probability(day, zeta) extrapolates past
-  /// the fitted window for holdout scoring and release planning.
-  [[nodiscard]] virtual const DetectionModel& detection_model() const = 0;
-
-  /// True when `workspace` came from this model's make_workspace() — i.e.
-  /// pointwise_row may consume it. Streaming sinks receive whatever
-  /// workspace the sampler ran with and fall back to their own per-chain
-  /// workspace when this says no.
-  [[nodiscard]] virtual bool is_scan_workspace(
-      const mcmc::GibbsWorkspace& workspace) const = 0;
-
-  /// Fills out[i-1] = log P(X_i = x_i | state) for day i = 1..data().days()
-  /// — the WAIC/LOO ingredient. `workspace` must satisfy
-  /// is_scan_workspace(); the fill is allocation-free and bit-identical for
-  /// any workspace history (streaming scoring and stored-trace replay score
-  /// through this same call).
-  virtual void pointwise_row(std::span<const double> state,
-                             mcmc::GibbsWorkspace& workspace,
-                             std::span<double> out) const = 0;
-};
-
 /// Which hyperprior limit the WAIC tuning grid searches for this family.
 enum class TunedScale {
   kLambdaMax,  ///< families with a lambda0-style rate hyperparameter
   kAlphaMax,   ///< families with an alpha0-style shape hyperparameter
 };
 
-/// One registered model family. Records are immutable after registration;
-/// registration order is presentation order (tables, help text, select
-/// grids).
+/// One registered model family. The table in model_family.cpp is constant;
+/// its order is presentation order (tables, help text, select grids).
 struct ModelFamily {
   PriorKind kind;
   std::string id;            ///< stable identity: CLI, serve, artifacts
@@ -168,49 +122,33 @@ struct ModelFamily {
   /// rejected up front — never silently run un-forked under a forked spec
   /// hash.
   bool supports_vectorized = false;
-  /// Constructs the family's model for one estimation cell.
-  std::unique_ptr<SrmModel> (*make)(DetectionModelKind model,
-                                    data::BugCountData data,
-                                    const HyperPriorConfig& config,
-                                    bool vectorized) = nullptr;
 };
 
-/// The registry. Instantiable for tests; library code uses the process
-/// registry via model_families() / family() / find_family().
+/// The process registry: the reproduction families in paper order, then
+/// the library extensions. Constant after start-up; model_families()
+/// returns the one instance.
 class ModelFamilyRegistry {
  public:
-  /// Registers a family. Throws support::InvalidArgument on a duplicate id
-  /// or kind, an empty id/table title, a missing factory, or a
-  /// selection_models entry absent from accepted_models.
-  void add(ModelFamily family);
+  explicit ModelFamilyRegistry(std::vector<ModelFamily> families)
+      : families_(std::move(families)) {}
 
-  /// All families in registration order.
+  /// All families in presentation order.
   [[nodiscard]] const std::vector<ModelFamily>& families() const {
     return families_;
   }
-
-  /// Record for a kind. Throws support::InvalidArgument for a kind that
-  /// was never registered.
-  [[nodiscard]] const ModelFamily& family(PriorKind kind) const;
-
-  /// Record whose id equals `id`, or nullptr.
-  [[nodiscard]] const ModelFamily* find(std::string_view id) const;
-
-  /// The process-wide registry: the reproduction families in paper order,
-  /// then the library extensions.
-  static const ModelFamilyRegistry& instance();
 
  private:
   std::vector<ModelFamily> families_;
 };
 
-/// instance() shorthand.
+/// The process registry.
 const ModelFamilyRegistry& model_families();
 
-/// Registry record for `kind` (process registry).
+/// Registry record for `kind`. Throws support::InvalidArgument for a value
+/// outside the enum.
 const ModelFamily& family(PriorKind kind);
 
-/// Registry record by id string, or nullptr (process registry).
+/// Registry record by id string, or nullptr.
 const ModelFamily* find_family(std::string_view id);
 
 /// Registered ids joined with `separator` — error/help text listing the
@@ -225,24 +163,13 @@ std::vector<PriorKind> reproduction_family_kinds();
 /// message lists the family's accepted detection-model names.
 void validate_family_model(PriorKind family, DetectionModelKind model);
 
-/// Throws support::InvalidArgument when `gibbs` requests the vectorized
-/// result-identity fork and the family does not implement it.
-void validate_family_gibbs(PriorKind family, const mcmc::GibbsOptions& gibbs);
-
-/// Constructs the family's model after validate_family_model /
-/// validate_family_gibbs; the single construction path for fit/select/
-/// sweep/serve cells.
-std::unique_ptr<SrmModel> make_model(PriorKind family,
-                                     DetectionModelKind model,
-                                     data::BugCountData data,
-                                     const HyperPriorConfig& config,
-                                     const mcmc::GibbsOptions& gibbs);
-
-/// Overload for callers without Gibbs options (scalar, no identity forks).
-std::unique_ptr<SrmModel> make_model(PriorKind family,
-                                     DetectionModelKind model,
-                                     data::BugCountData data,
-                                     const HyperPriorConfig& config);
+/// Throws support::InvalidArgument, with a plain message naming the serve
+/// field, unless the settings can run: chains, iterations and thin >= 1;
+/// lambda_max > 0, plus alpha_max and theta_max > 0 for the families that
+/// read them; and no --vectorized request for a family without that
+/// result-identity fork. make_model runs it before constructing.
+void validate_family_gibbs(PriorKind family, const HyperPriorConfig& config,
+                           const mcmc::GibbsOptions& gibbs);
 
 /// Renders the registry as the Markdown model table embedded in README.md
 /// (`srm_cli families --format markdown` emits it; a docs test pins the

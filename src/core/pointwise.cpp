@@ -5,7 +5,7 @@
 
 namespace srm::core {
 
-support::Matrix pointwise_log_likelihood_matrix(const SrmModel& model,
+support::Matrix pointwise_log_likelihood_matrix(const BayesianSrm& model,
                                                 const mcmc::McmcRun& run) {
   const std::size_t k = model.data().days();
   const std::size_t total_samples = run.total_samples();

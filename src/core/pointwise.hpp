@@ -10,7 +10,7 @@
 // consumers.
 #pragma once
 
-#include "core/model_family.hpp"
+#include "core/bayes_srm.hpp"
 #include "mcmc/trace.hpp"
 #include "support/matrix.hpp"
 
@@ -19,7 +19,7 @@ namespace srm::core {
 /// log p(x_i | omega_s) as a flat row-major matrix, rows() = data points,
 /// cols() = flattened sample index (chain 0's draws first, matching
 /// McmcRun::pooled). Evaluated in parallel over posterior draws.
-support::Matrix pointwise_log_likelihood_matrix(const SrmModel& model,
+support::Matrix pointwise_log_likelihood_matrix(const BayesianSrm& model,
                                                 const mcmc::McmcRun& run);
 
 }  // namespace srm::core

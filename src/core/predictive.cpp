@@ -13,7 +13,7 @@ namespace {
 constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 }
 
-PredictiveSummary score_holdout(const SrmModel& model,
+PredictiveSummary score_holdout(const BayesianSrm& model,
                                 const mcmc::McmcRun& run,
                                 const data::BugCountData& full) {
   const std::size_t m = model.data().days();

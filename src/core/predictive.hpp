@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "core/model_family.hpp"
+#include "core/bayes_srm.hpp"
 #include "data/bug_count_data.hpp"
 #include "mcmc/trace.hpp"
 
@@ -39,7 +39,7 @@ struct PredictiveSummary {
 /// built on the first `fit_days` days of `full`) on the remaining days of
 /// `full`. Preconditions: model.data() is exactly full.truncated(fit_days),
 /// and full has more days than fit_days.
-PredictiveSummary score_holdout(const SrmModel& model,
+PredictiveSummary score_holdout(const BayesianSrm& model,
                                 const mcmc::McmcRun& run,
                                 const data::BugCountData& full);
 

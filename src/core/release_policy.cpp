@@ -8,7 +8,7 @@
 
 namespace srm::core {
 
-ReleasePlan plan_release(const SrmModel& model, const mcmc::McmcRun& run,
+ReleasePlan plan_release(const BayesianSrm& model, const mcmc::McmcRun& run,
                          std::size_t horizon, const ReleaseCosts& costs) {
   SRM_EXPECTS(horizon >= 1, "plan_release requires horizon >= 1");
   SRM_EXPECTS(costs.cost_per_testing_day > 0.0,

@@ -14,7 +14,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/model_family.hpp"
+#include "core/bayes_srm.hpp"
 #include "data/bug_count_data.hpp"
 #include "mcmc/trace.hpp"
 
@@ -39,7 +39,7 @@ struct ReleasePlan {
 /// Evaluates releasing at each day in [today, today + horizon], where
 /// `today` = model.data().days() and `run` is the posterior fitted on that
 /// data. Horizon must be >= 1.
-ReleasePlan plan_release(const SrmModel& model, const mcmc::McmcRun& run,
+ReleasePlan plan_release(const BayesianSrm& model, const mcmc::McmcRun& run,
                          std::size_t horizon, const ReleaseCosts& costs);
 
 /// A Gibbs fit together with the release plan drawn from it.

@@ -72,7 +72,7 @@ WaicResult WaicAccumulator::finalize() const {
   return result;
 }
 
-StreamingScorer::StreamingScorer(const SrmModel& model,
+StreamingScorer::StreamingScorer(const BayesianSrm& model,
                                  std::size_t chain_count,
                                  std::size_t draws_per_chain,
                                  bool keep_matrix)

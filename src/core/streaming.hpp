@@ -19,7 +19,7 @@
 #include <span>
 #include <vector>
 
-#include "core/model_family.hpp"
+#include "core/bayes_srm.hpp"
 #include "core/posterior.hpp"
 #include "core/waic.hpp"
 #include "mcmc/accumulator.hpp"
@@ -60,7 +60,7 @@ class WaicAccumulator {
 /// tail fits need, laid out exactly like pointwise_log_likelihood_matrix.
 class StreamingScorer final : public mcmc::PosteriorAccumulator {
  public:
-  StreamingScorer(const SrmModel& model, std::size_t chain_count,
+  StreamingScorer(const BayesianSrm& model, std::size_t chain_count,
                   std::size_t draws_per_chain, bool keep_matrix = false);
 
   void accumulate(std::size_t chain, std::span<const double> state,
@@ -72,7 +72,7 @@ class StreamingScorer final : public mcmc::PosteriorAccumulator {
   [[nodiscard]] const support::Matrix& log_likelihood_matrix() const;
 
  private:
-  const SrmModel& model_;
+  const BayesianSrm& model_;
   std::size_t chain_count_;
   std::size_t draws_per_chain_;
   bool keep_matrix_;

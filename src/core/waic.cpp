@@ -8,7 +8,7 @@
 
 namespace srm::core {
 
-WaicResult compute_waic(const SrmModel& model, const mcmc::McmcRun& run) {
+WaicResult compute_waic(const BayesianSrm& model, const mcmc::McmcRun& run) {
   const std::size_t k = model.data().days();
   const std::size_t total_samples = run.total_samples();
   SRM_EXPECTS(total_samples >= 2, "WAIC requires at least 2 posterior draws");

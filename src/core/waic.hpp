@@ -11,7 +11,7 @@
 // retained Gibbs samples.
 #pragma once
 
-#include "core/model_family.hpp"
+#include "core/bayes_srm.hpp"
 #include "mcmc/trace.hpp"
 
 namespace srm::core {
@@ -33,6 +33,6 @@ struct WaicResult {
 
 /// Computes WAIC for `model` from the retained samples in `run` (which must
 /// have been produced by sampling that same model).
-WaicResult compute_waic(const SrmModel& model, const mcmc::McmcRun& run);
+WaicResult compute_waic(const BayesianSrm& model, const mcmc::McmcRun& run);
 
 }  // namespace srm::core

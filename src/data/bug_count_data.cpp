@@ -22,12 +22,12 @@ BugCountData::BugCountData(std::string name,
 BugCountData BugCountData::from_csv_file(const std::string& path,
                                          const std::string& name) {
   const auto rows = support::read_csv_file(path);
-  SRM_EXPECTS(!rows.empty(), "empty bug-count CSV: " + path);
+  require_input(!rows.empty(), "empty bug-count CSV: " + path);
   std::vector<std::int64_t> counts;
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const auto& row = rows[r];
-    SRM_EXPECTS(row.size() == 2,
-                "bug-count CSV rows must be 'day,count': " + path);
+    require_input(row.size() == 2,
+                  "bug-count CSV rows must be 'day,count': " + path);
     if (r == 0) {
       // Optional header row: skip if the first cell is not numeric.
       bool numeric = !row[0].empty();
@@ -35,10 +35,11 @@ BugCountData BugCountData::from_csv_file(const std::string& path,
       if (!numeric) continue;
     }
     const long long day = support::parse_count(row[0]);
-    SRM_EXPECTS(static_cast<std::size_t>(day) == counts.size() + 1,
-                "bug-count CSV days must be 1..k in order: " + path);
+    require_input(static_cast<std::size_t>(day) == counts.size() + 1,
+                  "bug-count CSV days must be 1..k in order: " + path);
     counts.push_back(support::parse_count(row[1]));
   }
+  require_input(!counts.empty(), "bug-count CSV has no data rows: " + path);
   return BugCountData(name, std::move(counts));
 }
 

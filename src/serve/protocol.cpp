@@ -99,9 +99,6 @@ mcmc::GibbsOptions parse_gibbs(const Json* value) {
       vectorized != nullptr) {
     gibbs.vectorized = vectorized->as_bool();
   }
-  require_input(gibbs.chain_count >= 1, "gibbs.chains must be >= 1");
-  require_input(gibbs.iterations >= 1, "gibbs.iterations must be >= 1");
-  require_input(gibbs.thin >= 1, "gibbs.thin must be >= 1");
   return gibbs;
 }
 
@@ -265,12 +262,11 @@ Request parse_request(const Json& json) {
   request.fit.model = parse_model(json, request.fit.prior);
   request.fit.config = parse_config(json.find("config"));
   request.fit.gibbs = parse_gibbs(json.find("gibbs"));
-  if (request.op == Op::kFit || request.op == Op::kPredict ||
-      request.op == Op::kRelease) {
-    // Reject result-identity forks the family does not implement up front
-    // (select silently narrows its grid to the supporting families).
-    core::validate_family_gibbs(request.fit.prior, request.fit.gibbs);
-  }
+  // Sampler settings and hyperprior limits are checked here, before any
+  // compute, for every op. select carries no prior, so its default family
+  // supports every fork (select narrows its grid to the supporting ones).
+  core::validate_family_gibbs(request.fit.prior, request.fit.config,
+                              request.fit.gibbs);
   request.fit.observation_day =
       member_size(json, "day", request.project.days());
   require_input(request.fit.observation_day >= 1, "day must be >= 1");

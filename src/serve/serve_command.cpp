@@ -61,7 +61,7 @@ int run_serve(const cli::Args& args, std::istream& in, std::ostream& out,
   options.summary_every = args.get_size("summary-every", 0);
   options.summary_out = &err;
   const std::size_t max_batch = args.get_size("batch", 64);
-  SRM_EXPECTS(max_batch >= 1, "--batch must be >= 1");
+  require_input(max_batch >= 1, "--batch must be >= 1");
   const std::string socket_path = args.get_string("socket", "");
 
   const auto unused = args.unused();

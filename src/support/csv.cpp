@@ -157,8 +157,8 @@ long long parse_count(const std::string& cell) {
   const char* begin = cell.data();
   const char* end = begin + cell.size();
   const auto [ptr, ec] = std::from_chars(begin, end, value);
-  SRM_EXPECTS(ec == std::errc{} && ptr == end && value >= 0,
-              "malformed count CSV cell: '" + cell + "'");
+  require_input(ec == std::errc{} && ptr == end && value >= 0,
+                "malformed count CSV cell: '" + cell + "'");
   return value;
 }
 

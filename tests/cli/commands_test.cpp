@@ -3,6 +3,7 @@
 #include "cli/commands.hpp"
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -35,21 +36,17 @@ TEST(Cli, FitOnEmbeddedDataset) {
   EXPECT_NE(result.out.find("PSRF"), std::string::npos);
 }
 
-TEST(Cli, FitOutputIdenticalWithAndWithoutKeepTraces) {
-  // The streaming pipeline's bit-identity contract, end to end: fit's
-  // default streaming mode and --keep-traces must render byte-identical
-  // reports.
-  const std::vector<std::string> base{"--csv",  "sys1",       "--days",
-                                      "48",     "--model",    "model1",
-                                      "--iterations", "400",  "--burn-in",
-                                      "100"};
-  auto with = base;
-  with.push_back("--keep-traces");
-  const auto streamed = run("fit", base);
-  const auto stored = run("fit", with);
-  EXPECT_EQ(streamed.code, 0) << streamed.err;
-  EXPECT_EQ(stored.code, 0) << stored.err;
-  EXPECT_EQ(streamed.out, stored.out);
+TEST(Cli, RetiredKeepTracesFlagFailsLoudly) {
+  // fit and select always stream; the flag that chose the stored-trace
+  // path is refused, never silently ignored.
+  for (const std::string command : {"fit", "select", "predict", "release",
+                                    "sweep"}) {
+    std::vector<std::string> flags{"--csv", "sys1", "--keep-traces"};
+    if (command == "predict") flags.insert(flags.end(), {"--fit-days", "40"});
+    const auto result = run(command, flags);
+    EXPECT_EQ(result.code, 2) << command;
+    EXPECT_EQ(result.err, "error: unknown flag --keep-traces\n") << command;
+  }
 }
 
 TEST(Cli, ThinReducesRetainedDraws) {
@@ -307,6 +304,102 @@ TEST(CliUserErrors, ReleaseArgumentsAreCheckedBeforeTheFit) {
                           "--bug-cost must be >= 0");
   // Nothing of the fit was printed before the error.
   EXPECT_EQ(run("release", with("--horizon", "0")).out, "");
+}
+
+TEST(CliUserErrors, SamplerSettingsAndHyperpriorLimits) {
+  const std::vector<std::string> base = {"--csv", "sys1", "--days", "48"};
+  const auto with = [&](const std::string& flag, const std::string& value) {
+    auto flags = base;
+    flags.push_back(flag);
+    flags.push_back(value);
+    return flags;
+  };
+  expect_plain_user_error("fit", with("--chains", "0"),
+                          "gibbs.chains must be >= 1");
+  expect_plain_user_error("fit", with("--iterations", "0"),
+                          "gibbs.iterations must be >= 1");
+  expect_plain_user_error("fit", with("--thin", "0"),
+                          "gibbs.thin must be >= 1");
+  expect_plain_user_error("fit", with("--lambda-max", "-1"),
+                          "config.lambda_max must be > 0");
+  expect_plain_user_error("fit", with("--theta-max", "0"),
+                          "config.theta_max must be > 0");
+  expect_plain_user_error("predict",
+                          {"--csv", "sys1", "--fit-days", "40", "--thin", "0"},
+                          "gibbs.thin must be >= 1");
+  expect_plain_user_error("sweep", with("--chains", "0"),
+                          "gibbs.chains must be >= 1");
+}
+
+TEST(CliUserErrors, TooFewDrawsForTheDiagnostics) {
+  const std::string geweke =
+      "gibbs.iterations must be >= 40 to fit a cell (the Geweke "
+      "diagnostic's first window needs 4 draws per chain)";
+  for (const std::string iterations : {"10", "20", "39"}) {
+    expect_plain_user_error("fit",
+                            {"--csv", "sys1", "--days", "48", "--iterations",
+                             iterations, "--burn-in", "10"},
+                            geweke);
+  }
+  expect_plain_user_error("sweep",
+                          {"--csv", "sys1", "--obs-days", "48",
+                           "--iterations", "10", "--burn-in", "10"},
+                          geweke);
+  expect_plain_user_error("select",
+                          {"--csv", "sys1", "--days", "48", "--chains", "2",
+                           "--iterations", "12", "--burn-in", "10"},
+                          "select needs --chains x --iterations >= 25 "
+                          "posterior draws for PSIS-LOO");
+  // The smallest accepted fit runs.
+  const auto fit = run("fit", {"--csv", "sys1", "--days", "48",
+                               "--iterations", "40", "--burn-in", "10"});
+  EXPECT_EQ(fit.code, 0) << fit.err;
+}
+
+TEST(CliUserErrors, PredictAndReleaseNeedNoDiagnosticMinimum) {
+  const auto predict =
+      run("predict", {"--csv", "sys1", "--fit-days", "40", "--iterations",
+                      "10", "--burn-in", "10"});
+  EXPECT_EQ(predict.code, 0) << predict.err;
+  const auto release =
+      run("release", {"--csv", "sys1", "--days", "48", "--iterations", "10",
+                      "--burn-in", "10"});
+  EXPECT_EQ(release.code, 0) << release.err;
+}
+
+TEST(CliUserErrors, MalformedCsvFiles) {
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto write = [&](const std::string& name, const std::string& body) {
+    const auto path = (dir / name).string();
+    std::ofstream(path) << body;
+    return path;
+  };
+  const auto bad_count = write("srm_bad_count.csv", "day,count\n1,3\n2,x\n");
+  expect_plain_user_error("fit", {"--csv", bad_count},
+                          "malformed count CSV cell: 'x'");
+  const auto negative = write("srm_negative_count.csv", "1,3\n2,-1\n");
+  expect_plain_user_error("fit", {"--csv", negative},
+                          "malformed count CSV cell: '-1'");
+  const auto one_cell = write("srm_one_cell.csv", "day,count\n1,3\n2\n");
+  expect_plain_user_error("fit", {"--csv", one_cell},
+                          "bug-count CSV rows must be 'day,count': " +
+                              one_cell);
+  const auto gap = write("srm_day_gap.csv", "1,3\n3,1\n");
+  expect_plain_user_error("fit", {"--csv", gap},
+                          "bug-count CSV days must be 1..k in order: " + gap);
+  const auto header_only = write("srm_header_only.csv", "day,count\n");
+  expect_plain_user_error("fit", {"--csv", header_only},
+                          "bug-count CSV has no data rows: " + header_only);
+  std::filesystem::remove(bad_count);
+  std::filesystem::remove(negative);
+  std::filesystem::remove(one_cell);
+  std::filesystem::remove(gap);
+  std::filesystem::remove(header_only);
+}
+
+TEST(CliUserErrors, MalformedObservationDay) {
+  expect_plain_user_error("sweep", {"--csv", "sys1", "--obs-days", "48,x"},
+                          "malformed count CSV cell: 'x'");
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// The model-family registry contract: registration validation (duplicate
-// ids/kinds and malformed records are loud errors), completeness of the
-// process registry, the reproduction-grid membership, name round-trips,
-// per-family model/fork validation, and the single make_model construction
-// path for every registered cell.
+// The model-family registry contract: the shipped table's invariants,
+// completeness of the process registry, the reproduction-grid membership,
+// name round-trips, per-family model/settings/fork validation, and the
+// single make_model construction path for every registered cell.
 #include "core/model_family.hpp"
 
 #include <algorithm>
@@ -20,96 +19,46 @@ namespace {
 
 namespace core = srm::core;
 using core::DetectionModelKind;
-using core::ModelFamily;
-using core::ModelFamilyRegistry;
 using core::PriorKind;
 
-/// A minimal valid record for registration-validation tests.
-ModelFamily stub_family(PriorKind kind, std::string id) {
-  ModelFamily family;
-  family.kind = kind;
-  family.id = std::move(id);
-  family.display_name = "Stub";
-  family.table_title = "(s) Stub prior.";
-  family.selection_models = {DetectionModelKind::kConstant};
-  family.accepted_models = {DetectionModelKind::kConstant};
-  family.default_model = DetectionModelKind::kConstant;
-  family.make = [](DetectionModelKind model, srm::data::BugCountData data,
-                   const core::HyperPriorConfig& config,
-                   bool vectorized) -> std::unique_ptr<core::SrmModel> {
-    return std::make_unique<core::BayesianSrm>(PriorKind::kPoisson, model,
-                                               std::move(data), config,
-                                               vectorized);
-  };
-  return family;
-}
-
-TEST(ModelFamilyRegistry, RejectsDuplicateId) {
-  ModelFamilyRegistry registry;
-  registry.add(stub_family(PriorKind::kPoisson, "twin"));
-  EXPECT_THROW(registry.add(stub_family(PriorKind::kNegativeBinomial, "twin")),
-               srm::InvalidArgument);
-}
-
-TEST(ModelFamilyRegistry, RejectsDuplicateKind) {
-  ModelFamilyRegistry registry;
-  registry.add(stub_family(PriorKind::kPoisson, "first"));
-  EXPECT_THROW(registry.add(stub_family(PriorKind::kPoisson, "second")),
-               srm::InvalidArgument);
-}
-
-TEST(ModelFamilyRegistry, RejectsMalformedRecords) {
-  // Empty id.
-  {
-    ModelFamilyRegistry registry;
-    EXPECT_THROW(registry.add(stub_family(PriorKind::kPoisson, "")),
-                 srm::InvalidArgument);
-  }
-  // Missing factory.
-  {
-    ModelFamilyRegistry registry;
-    auto family = stub_family(PriorKind::kPoisson, "nofactory");
-    family.make = nullptr;
-    EXPECT_THROW(registry.add(std::move(family)), srm::InvalidArgument);
-  }
-  // A selection_models entry absent from accepted_models.
-  {
-    ModelFamilyRegistry registry;
-    auto family = stub_family(PriorKind::kPoisson, "badgrid");
-    family.selection_models = {DetectionModelKind::kWeibull};
-    EXPECT_THROW(registry.add(std::move(family)), srm::InvalidArgument);
-  }
-}
-
-TEST(ModelFamilyRegistry, UnregisteredKindAndUnknownIdAreHandled) {
-  ModelFamilyRegistry registry;
-  registry.add(stub_family(PriorKind::kPoisson, "only"));
-  EXPECT_THROW(static_cast<void>(registry.family(PriorKind::kSizeBiased)),
-               srm::InvalidArgument);
-  EXPECT_EQ(registry.find("absent"), nullptr);
-  ASSERT_NE(registry.find("only"), nullptr);
-  EXPECT_EQ(registry.find("only")->kind, PriorKind::kPoisson);
-}
-
-TEST(ModelFamilyRegistry, ProcessRegistryCoversEveryKind) {
-  // Every PriorKind enumerator has a record, ids are unique and non-empty,
-  // and each record's selection grid is inside its accepted superset.
-  const std::vector<PriorKind> kinds = {PriorKind::kPoisson,
-                                        PriorKind::kNegativeBinomial,
-                                        PriorKind::kSizeBiased};
+TEST(ModelFamilyRegistry, ShippedTableInvariants) {
+  // The table is constant, so what registration used to check at run time
+  // is checked here once: unique ids and kinds, non-empty ids and titles,
+  // and every selection grid inside its accepted superset.
   std::set<std::string> ids;
-  for (const auto kind : kinds) {
-    const auto& family = core::family(kind);
-    EXPECT_EQ(family.kind, kind);
+  std::set<PriorKind> kinds;
+  for (const auto& family : core::model_families().families()) {
     EXPECT_FALSE(family.id.empty());
+    EXPECT_FALSE(family.table_title.empty()) << family.id;
+    EXPECT_FALSE(family.display_name.empty()) << family.id;
     EXPECT_TRUE(ids.insert(family.id).second) << family.id;
-    EXPECT_FALSE(family.selection_models.empty());
+    EXPECT_TRUE(kinds.insert(family.kind).second) << family.id;
+    EXPECT_FALSE(family.selection_models.empty()) << family.id;
     for (const auto model : family.selection_models) {
       EXPECT_NE(std::find(family.accepted_models.begin(),
                           family.accepted_models.end(), model),
                 family.accepted_models.end())
-          << family.id;
+          << family.id << " selects " << core::to_string(model);
     }
+  }
+}
+
+TEST(ModelFamilyRegistry, UnregisteredKindAndUnknownIdAreHandled) {
+  EXPECT_THROW(static_cast<void>(core::family(static_cast<PriorKind>(99))),
+               srm::InvalidArgument);
+  EXPECT_EQ(core::find_family("absent"), nullptr);
+  ASSERT_NE(core::find_family("poisson"), nullptr);
+  EXPECT_EQ(core::find_family("poisson")->kind, PriorKind::kPoisson);
+}
+
+TEST(ModelFamilyRegistry, ProcessRegistryCoversEveryKind) {
+  // Every PriorKind enumerator has a record whose default model it accepts.
+  const std::vector<PriorKind> kinds = {PriorKind::kPoisson,
+                                        PriorKind::kNegativeBinomial,
+                                        PriorKind::kSizeBiased};
+  for (const auto kind : kinds) {
+    const auto& family = core::family(kind);
+    EXPECT_EQ(family.kind, kind);
     EXPECT_NE(std::find(family.accepted_models.begin(),
                         family.accepted_models.end(), family.default_model),
               family.accepted_models.end())
@@ -157,16 +106,57 @@ TEST(ModelFamilyRegistry, ValidateFamilyModelRejectsForeignDetectionKinds) {
 }
 
 TEST(ModelFamilyRegistry, ValidateFamilyGibbsRejectsUnsupportedForks) {
+  const core::HyperPriorConfig config;
   srm::mcmc::GibbsOptions gibbs;
-  EXPECT_NO_THROW(core::validate_family_gibbs(PriorKind::kSizeBiased, gibbs));
+  EXPECT_NO_THROW(
+      core::validate_family_gibbs(PriorKind::kSizeBiased, config, gibbs));
 
   auto vectorized = gibbs;
   vectorized.vectorized = true;
   EXPECT_NO_THROW(
-      core::validate_family_gibbs(PriorKind::kPoisson, vectorized));
+      core::validate_family_gibbs(PriorKind::kPoisson, config, vectorized));
   EXPECT_THROW(
-      core::validate_family_gibbs(PriorKind::kSizeBiased, vectorized),
+      core::validate_family_gibbs(PriorKind::kSizeBiased, config, vectorized),
       srm::InvalidArgument);
+}
+
+TEST(ModelFamilyRegistry, ValidateFamilyGibbsRejectsUnrunnableSettings) {
+  // Plain messages (no contract report), for every family.
+  const auto message = [](PriorKind prior, const core::HyperPriorConfig& config,
+                          const srm::mcmc::GibbsOptions& gibbs) {
+    try {
+      core::validate_family_gibbs(prior, config, gibbs);
+    } catch (const srm::InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const core::HyperPriorConfig config;
+  const srm::mcmc::GibbsOptions gibbs;
+  for (const auto& family : core::model_families().families()) {
+    auto bad = gibbs;
+    bad.chain_count = 0;
+    EXPECT_EQ(message(family.kind, config, bad), "gibbs.chains must be >= 1");
+    bad = gibbs;
+    bad.iterations = 0;
+    EXPECT_EQ(message(family.kind, config, bad),
+              "gibbs.iterations must be >= 1");
+    bad = gibbs;
+    bad.thin = 0;
+    EXPECT_EQ(message(family.kind, config, bad), "gibbs.thin must be >= 1");
+    auto limits = config;
+    limits.lambda_max = -1.0;
+    EXPECT_EQ(message(family.kind, limits, gibbs),
+              "config.lambda_max must be > 0");
+  }
+  auto limits = config;
+  limits.alpha_max = 0.0;
+  EXPECT_EQ(message(PriorKind::kNegativeBinomial, limits, gibbs),
+            "config.alpha_max must be > 0");
+  limits = config;
+  limits.limits.theta_max = 0.0;
+  EXPECT_EQ(message(PriorKind::kPoisson, limits, gibbs),
+            "config.theta_max must be > 0");
 }
 
 TEST(ModelFamilyRegistry, MakeModelConstructsEveryRegisteredCell) {
@@ -176,7 +166,7 @@ TEST(ModelFamilyRegistry, MakeModelConstructsEveryRegisteredCell) {
       const auto model =
           core::make_model(family.kind, model_kind, data, {});
       ASSERT_NE(model, nullptr) << family.id;
-      EXPECT_EQ(model->family(), family.kind) << family.id;
+      EXPECT_EQ(model->prior(), family.kind) << family.id;
       EXPECT_EQ(model->detection_model().kind(), model_kind) << family.id;
       // Layout invariants every downstream consumer relies on.
       EXPECT_EQ(model->residual_index(), 0u);

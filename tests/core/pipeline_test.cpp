@@ -1,12 +1,13 @@
 // The streaming posterior pipeline's bit-identity contract.
 //
-// run_observation() has two modes: keep_traces=true stores every retained
-// draw and replays the traces through the accumulators (plus the pointwise
-// matrix WAIC path), keep_traces=false feeds the same accumulators in-scan
-// and never stores a draw. Every reported number — WAIC, PSIS-LOO, PSRF,
-// Geweke, ESS, posterior mean, the full residual summary — must be
-// BIT-identical between the two modes for every sampler scheme, prior and
-// detection model (2 x 2 x 7 = 28 configurations).
+// fit_cell() scores and summarises every retained draw in-scan and never
+// needs a stored draw. The reference is the stored-trace path built here
+// from public calls: run_gibbs with traces on, mcmc::replay through the
+// same accumulators, and the pointwise-matrix compute_waic(model, run).
+// Every reported number — WAIC, PSRF, Geweke, ESS, posterior mean, the
+// full residual summary — must be BIT-identical between the two for every
+// sampler scheme, prior and detection model (2 x 2 x 7 = 28
+// configurations); PSIS-LOO is pinned the same way below.
 //
 // Where the streamed statistics also reproduce the legacy trace-based
 // helpers exactly (PSRF via the gelman_rubin arithmetic, Geweke via the
@@ -20,6 +21,7 @@
 
 #include "core/bayes_srm.hpp"
 #include "core/experiment.hpp"
+#include "core/fit.hpp"
 #include "core/loo.hpp"
 #include "core/posterior.hpp"
 #include "core/streaming.hpp"
@@ -102,6 +104,48 @@ void expect_bitwise_equal(const ObservationResult& stored,
   }
 }
 
+/// The stored-trace reference for one fit_cell request: sample with traces
+/// on, replay the traces through the accumulators fit_cell streams into,
+/// and score WAIC from the pointwise matrix.
+ObservationResult stored_trace_fit(const srm::data::BugCountData& base,
+                                   const srm::core::FitRequest& request) {
+  const auto observed =
+      srm::core::dataset_at_observation(base, request.observation_day);
+  const auto model = srm::core::make_model(request.prior, request.model,
+                                           observed, request.config,
+                                           request.gibbs);
+  auto gibbs = request.gibbs;
+  gibbs.keep_traces = true;
+  const auto run = srm::mcmc::run_gibbs(*model, gibbs);
+
+  srm::diagnostics::ParameterStatsAccumulator stats(
+      model->state_size(), gibbs.chain_count, gibbs.iterations);
+  srm::core::ResidualAccumulator residual(model->residual_index(),
+                                          gibbs.chain_count, gibbs.iterations);
+  const std::array<srm::mcmc::PosteriorAccumulator*, 2> sinks{&stats,
+                                                              &residual};
+  srm::mcmc::replay(run, sinks);
+
+  ObservationResult result;
+  result.observation_day = request.observation_day;
+  result.detected_so_far = observed.total();
+  result.actual_residual = request.eventual_total - observed.total();
+  result.waic = srm::core::compute_waic(*model, run);
+  result.posterior = residual.finalize();
+  const auto names = run.parameter_names();
+  for (std::size_t p = 0; p < names.size(); ++p) {
+    const auto online = stats.parameter(p);
+    srm::core::ParameterDiagnostics diag;
+    diag.name = names[p];
+    diag.posterior_mean = online.posterior_mean;
+    diag.ess = online.ess;
+    diag.psrf = online.psrf;
+    diag.geweke_z = online.geweke_z;
+    result.diagnostics.push_back(std::move(diag));
+  }
+  return result;
+}
+
 TEST(StreamingPipeline, BitIdenticalToStoredTracesAcrossAll28Configs) {
   const auto data = srm::data::sys1_grouped();
   for (const auto scheme :
@@ -110,17 +154,17 @@ TEST(StreamingPipeline, BitIdenticalToStoredTracesAcrossAll28Configs) {
          {PriorKind::kPoisson, PriorKind::kNegativeBinomial}) {
       for (const auto model : srm::core::all_detection_model_kinds()) {
         auto spec = spec_for(scheme, prior, model);
+        spec.gibbs.keep_traces = false;
         const std::string label =
             std::string(scheme == SamplerScheme::kCollapsed ? "collapsed"
                                                             : "vanilla") +
             "/" + srm::core::to_string(prior) + "/" +
             srm::core::to_string(model);
 
-        spec.gibbs.keep_traces = true;
-        const auto stored = srm::core::run_observation(data, spec, data.days());
-        spec.gibbs.keep_traces = false;
-        const auto streamed =
-            srm::core::run_observation(data, spec, data.days());
+        const auto request =
+            srm::core::single_cell_request(spec, data.days());
+        const auto stored = stored_trace_fit(data, request);
+        const auto streamed = srm::core::fit_cell(data, request);
         expect_bitwise_equal(stored, streamed, label);
       }
     }

@@ -30,7 +30,7 @@ using core::HyperPriorConfig;
 using core::PriorKind;
 using core::SamplerScheme;
 
-std::unique_ptr<core::SrmModel> size_biased_model(
+std::unique_ptr<core::BayesianSrm> size_biased_model(
     const srm::data::BugCountData& data, const HyperPriorConfig& config = {}) {
   return core::make_model(PriorKind::kSizeBiased,
                           DetectionModelKind::kSizeBiasedMultinomial, data,
@@ -89,7 +89,7 @@ TEST(SizeBiased, SharesThePoissonStateLayout) {
   // The family is a Poisson bug-content layer: [residual, lambda0] ahead of
   // the (shape, scale) detection block.
   const auto model = size_biased_model(srm::data::sys1_grouped());
-  EXPECT_EQ(model->family(), PriorKind::kSizeBiased);
+  EXPECT_EQ(model->prior(), PriorKind::kSizeBiased);
   EXPECT_EQ(model->parameter_names(),
             (std::vector<std::string>{"residual", "lambda0", "shape",
                                       "scale"}));
@@ -102,7 +102,7 @@ TEST(SizeBiased, PointwiseRowMatchesAllocatingHelperBitwise) {
   // the reference. Same bits, day by day, and the log joint is finite.
   const auto data = srm::data::sys1_grouped();
   const auto built = size_biased_model(data);
-  const auto& model = dynamic_cast<const core::BayesianSrm&>(*built);
+  const auto& model = *built;
   srm::random::Rng rng(7);
   auto state = model.initial_state(rng);
   const auto workspace = model.make_workspace();

@@ -182,6 +182,19 @@ TEST(ServeProtocol, UserErrorsCarryPlainMessages) {
        "day_cost must be > 0"},
       {R"({"op":"release","project":"sys1","bug_cost":-1})",
        "bug_cost must be >= 0"},
+      {R"({"op":"select","project":"sys1","gibbs":{"chains":0}})",
+       "gibbs.chains must be >= 1"},
+      {R"({"op":"predict","project":"sys1","fit_days":40,"gibbs":{"thin":0}})",
+       "gibbs.thin must be >= 1"},
+      {R"({"op":"fit","project":"sys1","config":{"lambda_max":-1}})",
+       "config.lambda_max must be > 0"},
+      {R"({"op":"fit","project":"sys1","config":{"theta_max":0}})",
+       "config.theta_max must be > 0"},
+      {R"({"op":"fit","project":"sys1","prior":"negbin",)"
+       R"("config":{"alpha_max":0}})",
+       "config.alpha_max must be > 0"},
+      {R"({"op":"select","project":"sys1","config":{"lambda_max":0}})",
+       "config.lambda_max must be > 0"},
   };
   for (const auto& [request, message] : cases) {
     EXPECT_EQ(request_error(request), message) << request;

@@ -138,6 +138,18 @@ TEST(ServeCommand, UnknownFlagsAreRejected) {
       srm::InvalidArgument);
 }
 
+TEST(ServeCommand, ZeroBatchIsAPlainUserError) {
+  std::istringstream in;
+  std::ostringstream out;
+  std::ostringstream err;
+  try {
+    serve::run_serve(Args::parse({"--batch", "0"}), in, out, err);
+    ADD_FAILURE() << "--batch 0 was accepted";
+  } catch (const srm::InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "--batch must be >= 1");
+  }
+}
+
 TEST(ServeCommand, SummaryLinesGoToTheErrorStream) {
   std::istringstream in(fit_line(1) + "\n" + fit_line(1) + "\n");
   std::ostringstream out;

@@ -6,6 +6,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,6 +132,30 @@ TEST(ServeService, HostileInputYieldsStructuredErrorsNeverThrows) {
     EXPECT_FALSE(parsed.at("error").as_string().empty());
   }
   EXPECT_EQ(service.computed(), 0u);
+}
+
+TEST(ServeService, TooFewDrawsArePlainErrorLines) {
+  // fit_cell checks the Geweke minimum before sampling: a plain
+  // {"ok":false} line, never a contract report with a source location.
+  auto service = make_service();
+  const std::string geweke =
+      "gibbs.iterations must be >= 40 to fit a cell (the Geweke "
+      "diagnostic's first window needs 4 draws per chain)";
+  const std::pair<std::string, std::string> cases[] = {
+      {R"({"op":"fit","project":"sys1","day":48,)"
+       R"("gibbs":{"burn_in":10,"iterations":10}})",
+       geweke},
+      {R"({"op":"select","project":"sys1","day":48,)"
+       R"("gibbs":{"burn_in":10,"iterations":20}})",
+       geweke},
+  };
+  for (const auto& [line, message] : cases) {
+    const auto response = service.handle_line(line);
+    EXPECT_FALSE(response.ok) << line;
+    const Json parsed = Json::parse(response.line);
+    EXPECT_FALSE(parsed.at("ok").as_bool()) << line;
+    EXPECT_EQ(parsed.at("error").as_string(), message) << line;
+  }
 }
 
 TEST(ServeService, ErrorResponsesEchoTheRequestId) {
