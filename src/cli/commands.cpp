@@ -6,6 +6,8 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "artifact/serialize.hpp"
 #include "artifact/store.hpp"
@@ -516,6 +518,12 @@ int run_sweep(const Args& args, std::ostream& out) {
   require_input(!out_dir.empty() || (!resume && max_cells == 0),
                 "--resume and --max-cells require --out DIR");
   reject_unused(args);
+  // Every cell's settings are checked before the store writes its
+  // manifest, so a sweep that cannot run leaves no directory behind.
+  for (const auto& [prior, model] : report::sweep_grid(options.families)) {
+    core::validate_fit_settings(prior, options.config_for(prior, model),
+                                options.gibbs);
+  }
 
   std::optional<artifact::ArtifactStore> store;
   if (!out_dir.empty()) {
@@ -633,20 +641,29 @@ std::string usage() {
 int dispatch(const std::string& command,
              const std::vector<std::string>& flags, std::ostream& out,
              std::ostream& err) {
+  using Command = int (*)(const Args&, std::ostream&);
+  static constexpr std::pair<std::string_view, Command> kCommands[] = {
+      {"fit", run_fit},           {"select", run_select},
+      {"predict", run_predict},   {"mle", run_mle},
+      {"nhpp", run_nhpp},         {"simulate", run_simulate},
+      {"release", run_release},   {"families", run_families},
+      {"sweep", run_sweep},
+  };
   try {
     const auto args = Args::parse(flags);
+    const auto* found =
+        std::find_if(std::begin(kCommands), std::end(kCommands),
+                     [&](const auto& entry) { return entry.first == command; });
+    if (found == std::end(kCommands)) {
+      err << "unknown command '" << command << "'\n" << usage();
+      return 1;
+    }
+    if (args.has("help")) {
+      out << usage();
+      return 0;
+    }
     configure_runtime(args);
-    if (command == "fit") return run_fit(args, out);
-    if (command == "select") return run_select(args, out);
-    if (command == "predict") return run_predict(args, out);
-    if (command == "mle") return run_mle(args, out);
-    if (command == "nhpp") return run_nhpp(args, out);
-    if (command == "simulate") return run_simulate(args, out);
-    if (command == "release") return run_release(args, out);
-    if (command == "families") return run_families(args, out);
-    if (command == "sweep") return run_sweep(args, out);
-    err << "unknown command '" << command << "'\n" << usage();
-    return 1;
+    return found->second(args, out);
   } catch (const Error& e) {
     err << "error: " << e.what() << '\n';
     return 2;

@@ -40,11 +40,12 @@ int run_release(const Args& args, std::ostream& out);
 int run_sweep(const Args& args, std::ostream& out);
 
 /// Dispatches `command` and catches library errors into exit code 2.
+/// `<command> --help` prints usage() to `out` and returns 0.
 int dispatch(const std::string& command,
              const std::vector<std::string>& flags, std::ostream& out,
              std::ostream& err);
 
-/// The usage text printed for unknown/missing commands.
+/// The usage text printed for unknown/missing commands and for --help.
 std::string usage();
 
 }  // namespace srm::cli

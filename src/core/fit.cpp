@@ -36,18 +36,24 @@ FitRequest single_cell_request(const ExperimentSpec& spec,
   return request;
 }
 
-ObservationResult fit_cell(const data::BugCountData& base,
-                           const FitRequest& request) {
-  SRM_EXPECTS(request.observation_day >= 1, "observation day must be >= 1");
-  const auto observed = dataset_at_observation(base, request.observation_day);
-
-  const auto model = make_model(request.prior, request.model, observed,
-                                request.config, request.gibbs);
-  require_input(request.gibbs.iterations >= kMinFitIterations,
+void validate_fit_settings(PriorKind family, const HyperPriorConfig& config,
+                           const mcmc::GibbsOptions& gibbs) {
+  validate_family_gibbs(family, config, gibbs);
+  require_input(gibbs.iterations >= kMinFitIterations,
                 "gibbs.iterations must be >= " +
                     support::dec(kMinFitIterations) +
                     " to fit a cell (the Geweke diagnostic's first window "
                     "needs 4 draws per chain)");
+}
+
+ObservationResult fit_cell(const data::BugCountData& base,
+                           const FitRequest& request) {
+  SRM_EXPECTS(request.observation_day >= 1, "observation day must be >= 1");
+  validate_fit_settings(request.prior, request.config, request.gibbs);
+  const auto observed = dataset_at_observation(base, request.observation_day);
+
+  const auto model = make_model(request.prior, request.model, observed,
+                                request.config, request.gibbs);
 
   // The scorer consumes each draw's fresh workspace buffers in-scan; no
   // pointwise matrix and no second likelihood pass. keep_traces only

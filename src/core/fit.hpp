@@ -45,13 +45,19 @@ struct FitRequest {
 /// diagnostic's first window (10% of a chain) must hold 4 draws.
 inline constexpr std::size_t kMinFitIterations = 40;
 
+/// Throws support::InvalidArgument unless fit_cell accepts these settings
+/// for `family`: validate_family_gibbs, then gibbs.iterations >=
+/// kMinFitIterations. Needs no data, so a sweep can check every cell before
+/// it writes anything.
+void validate_fit_settings(PriorKind family, const HyperPriorConfig& config,
+                           const mcmc::GibbsOptions& gibbs);
+
 /// Fits the requested SRM on `base` seen at the request's observation day
 /// (truncate + zero-pad, Section 5.1) and returns the residual-bug
 /// posterior, WAIC and per-parameter convergence diagnostics. Deterministic
 /// given the request: bit-identical for any worker count, with or without
-/// keep_traces. Throws support::InvalidArgument before sampling when the
-/// settings cannot run (see validate_family_gibbs) or when
-/// gibbs.iterations < kMinFitIterations.
+/// keep_traces. Throws support::InvalidArgument before sampling when
+/// validate_fit_settings rejects the request.
 ObservationResult fit_cell(const data::BugCountData& base,
                            const FitRequest& request);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "support/error.hpp"
+#include "support/format.hpp"
 
 namespace srm::core {
 
@@ -148,6 +149,17 @@ void validate_family_gibbs(PriorKind prior, const HyperPriorConfig& config,
   require_input(gibbs.chain_count >= 1, "gibbs.chains must be >= 1");
   require_input(gibbs.iterations >= 1, "gibbs.iterations must be >= 1");
   require_input(gibbs.thin >= 1, "gibbs.thin must be >= 1");
+  // chains x (burn_in + iterations x thin) <= kMaxGibbsScans, checked one
+  // factor at a time so no product or sum can wrap.
+  const bool within_budget =
+      gibbs.iterations <= kMaxGibbsScans / gibbs.thin &&
+      gibbs.burn_in <= kMaxGibbsScans - gibbs.iterations * gibbs.thin &&
+      gibbs.chain_count <=
+          kMaxGibbsScans / (gibbs.burn_in + gibbs.iterations * gibbs.thin);
+  require_input(within_budget,
+                "gibbs.chains x (gibbs.burn_in + gibbs.iterations x "
+                "gibbs.thin) must be <= " +
+                    support::dec(kMaxGibbsScans) + " Gibbs scans");
   require_input(config.lambda_max > 0.0, "config.lambda_max must be > 0");
   // The size-biased family reads neither alpha_max nor theta_max.
   if (prior != PriorKind::kSizeBiased) {

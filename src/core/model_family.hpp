@@ -163,11 +163,19 @@ std::vector<PriorKind> reproduction_family_kinds();
 /// message lists the family's accepted detection-model names.
 void validate_family_model(PriorKind family, DetectionModelKind model);
 
+/// Most Gibbs scans one fit may run: chains x (burn_in + iterations x
+/// thin). At the slowest model's ~60 us per scan that is about a minute of
+/// one worker, and it caps the retained draws the sinks allocate for. The
+/// largest run in the tree (the scheme-equivalence test's thinned chains,
+/// 2 x (1000 + 6000 x 10)) is 8x under it; the paper's fits run 6000.
+inline constexpr std::size_t kMaxGibbsScans = 1'000'000;
+
 /// Throws support::InvalidArgument, with a plain message naming the serve
 /// field, unless the settings can run: chains, iterations and thin >= 1;
-/// lambda_max > 0, plus alpha_max and theta_max > 0 for the families that
-/// read them; and no --vectorized request for a family without that
-/// result-identity fork. make_model runs it before constructing.
+/// at most kMaxGibbsScans scans; lambda_max > 0, plus alpha_max and
+/// theta_max > 0 for the families that read them; and no --vectorized
+/// request for a family without that result-identity fork. make_model runs
+/// it before constructing.
 void validate_family_gibbs(PriorKind family, const HyperPriorConfig& config,
                            const mcmc::GibbsOptions& gibbs);
 

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/commands.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/service.hpp"
 #include "serve/socket.hpp"
@@ -50,6 +51,10 @@ int serve_over_stream(Service& service, std::size_t max_batch,
 
 int run_serve(const cli::Args& args, std::istream& in, std::ostream& out,
               std::ostream& err) {
+  if (args.has("help")) {
+    out << cli::usage();
+    return 0;
+  }
   if (args.has("threads")) {
     runtime::ThreadPool::set_global_thread_count(args.get_size("threads", 0));
   }

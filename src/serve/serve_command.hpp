@@ -24,6 +24,7 @@ namespace srm::serve {
 
 /// Runs the service until EOF on `in` (or a shutdown request / closed
 /// socket). Responses go to `out`, summaries and fatal errors to `err`.
+/// With --help it prints cli::usage() to `out` and returns 0 instead.
 int run_serve(const cli::Args& args, std::istream& in, std::ostream& out,
               std::ostream& err);
 

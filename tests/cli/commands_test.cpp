@@ -221,6 +221,19 @@ TEST(Cli, RetiredChainLanesFlagFailsLoudly) {
       << result.err;
 }
 
+TEST(Cli, HelpPrintsUsageForEveryCommand) {
+  for (const std::string command :
+       {"fit", "select", "predict", "mle", "nhpp", "simulate", "release",
+        "families", "sweep"}) {
+    const auto result = run(command, {"--help"});
+    EXPECT_EQ(result.code, 0) << command << ": " << result.err;
+    EXPECT_EQ(result.out, srm::cli::usage()) << command;
+    EXPECT_EQ(result.err, "") << command;
+  }
+  // Other unknown flags are still refused.
+  EXPECT_EQ(run("fit", {"--csv", "sys1", "--hlep"}).code, 2);
+}
+
 TEST(Cli, MissingCsvFails) {
   const auto result = run("fit", {});
   EXPECT_EQ(result.code, 2);
@@ -329,6 +342,16 @@ TEST(CliUserErrors, SamplerSettingsAndHyperpriorLimits) {
                           "gibbs.thin must be >= 1");
   expect_plain_user_error("sweep", with("--chains", "0"),
                           "gibbs.chains must be >= 1");
+  const std::string over_budget =
+      "gibbs.chains x (gibbs.burn_in + gibbs.iterations x gibbs.thin) must "
+      "be <= 1000000 Gibbs scans";
+  expect_plain_user_error("fit", with("--iterations", "4000000000"),
+                          over_budget);
+  expect_plain_user_error("fit", with("--chains", "100000"), over_budget);
+  expect_plain_user_error("select", with("--chains", "100000"), over_budget);
+  expect_plain_user_error("release", with("--burn-in", "1000001"),
+                          over_budget);
+  expect_plain_user_error("sweep", with("--chains", "100000"), over_budget);
 }
 
 TEST(CliUserErrors, TooFewDrawsForTheDiagnostics) {
@@ -354,6 +377,23 @@ TEST(CliUserErrors, TooFewDrawsForTheDiagnostics) {
   const auto fit = run("fit", {"--csv", "sys1", "--days", "48",
                                "--iterations", "40", "--burn-in", "10"});
   EXPECT_EQ(fit.code, 0) << fit.err;
+}
+
+TEST(CliUserErrors, FailedSweepLeavesNoOutputDirectory) {
+  // Every cell's settings are checked before the artifact store writes its
+  // manifest, so a sweep that cannot run never creates --out DIR.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "srm_cli_rejected_sweep";
+  std::filesystem::remove_all(dir);
+  expect_plain_user_error(
+      "sweep", {"--smoke", "--out", dir.string(), "--iterations", "10"},
+      "gibbs.iterations must be >= 40 to fit a cell (the Geweke "
+      "diagnostic's first window needs 4 draws per chain)");
+  expect_plain_user_error(
+      "sweep", {"--smoke", "--out", dir.string(), "--chains", "100000"},
+      "gibbs.chains x (gibbs.burn_in + gibbs.iterations x gibbs.thin) must "
+      "be <= 1000000 Gibbs scans");
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 TEST(CliUserErrors, PredictAndReleaseNeedNoDiagnosticMinimum) {

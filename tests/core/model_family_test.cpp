@@ -144,6 +144,17 @@ TEST(ModelFamilyRegistry, ValidateFamilyGibbsRejectsUnrunnableSettings) {
     bad = gibbs;
     bad.thin = 0;
     EXPECT_EQ(message(family.kind, config, bad), "gibbs.thin must be >= 1");
+    // 4 x (249999 + 1 x 1) scans is exactly the budget; one more burn-in
+    // scan per chain is over it.
+    bad = gibbs;
+    bad.chain_count = 4;
+    bad.burn_in = core::kMaxGibbsScans / 4 - 1;
+    bad.iterations = 1;
+    EXPECT_EQ(message(family.kind, config, bad), "");
+    bad.burn_in += 1;
+    EXPECT_EQ(message(family.kind, config, bad),
+              "gibbs.chains x (gibbs.burn_in + gibbs.iterations x "
+              "gibbs.thin) must be <= 1000000 Gibbs scans");
     auto limits = config;
     limits.lambda_max = -1.0;
     EXPECT_EQ(message(family.kind, limits, gibbs),

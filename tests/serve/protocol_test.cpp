@@ -163,6 +163,10 @@ std::string request_error(const std::string& text) {
   return "";
 }
 
+constexpr const char* kOverBudget =
+    "gibbs.chains x (gibbs.burn_in + gibbs.iterations x gibbs.thin) must be "
+    "<= 1000000 Gibbs scans";
+
 TEST(ServeProtocol, UserErrorsCarryPlainMessages) {
   // Bad request values are user input: the error line quotes the plain
   // message, never a contract-violation report with a source location.
@@ -195,6 +199,16 @@ TEST(ServeProtocol, UserErrorsCarryPlainMessages) {
        "config.alpha_max must be > 0"},
       {R"({"op":"select","project":"sys1","config":{"lambda_max":0}})",
        "config.lambda_max must be > 0"},
+      {R"({"op":"fit","project":"sys1","gibbs":{"iterations":4000000000}})",
+       kOverBudget},
+      {R"({"op":"fit","project":"sys1","gibbs":{"chains":100000}})",
+       kOverBudget},
+      {R"({"op":"select","project":"sys1","gibbs":{"burn_in":1000001}})",
+       kOverBudget},
+      // 2^32 x 2^32 wraps a 64-bit product to 0.
+      {R"({"op":"predict","project":"sys1","fit_days":40,)"
+       R"("gibbs":{"iterations":4294967296,"thin":4294967296}})",
+       kOverBudget},
   };
   for (const auto& [request, message] : cases) {
     EXPECT_EQ(request_error(request), message) << request;

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/args.hpp"
+#include "cli/commands.hpp"
 #include "serve/service.hpp"
 #include "serve/socket.hpp"
 #include "support/error.hpp"
@@ -136,6 +137,15 @@ TEST(ServeCommand, UnknownFlagsAreRejected) {
   EXPECT_THROW(
       serve::run_serve(Args::parse({"--cache-sise", "4"}), in, out, err),
       srm::InvalidArgument);
+}
+
+TEST(ServeCommand, HelpPrintsUsage) {
+  std::istringstream in;
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(serve::run_serve(Args::parse({"--help"}), in, out, err), 0);
+  EXPECT_EQ(out.str(), srm::cli::usage());
+  EXPECT_EQ(err.str(), "");
 }
 
 TEST(ServeCommand, ZeroBatchIsAPlainUserError) {

@@ -60,6 +60,21 @@ TEST(ServeService, ColdComputesThenWarmHitsByteIdentical) {
   EXPECT_EQ(warm.line, cold.line);
   EXPECT_EQ(service.computed(), 1u);
   EXPECT_EQ(service.memory_hits(), 1u);
+
+  // A shuffled replay over a resident working set is all memory hits,
+  // each with its cold body.
+  const auto cold2 = service.handle_line(fit_line(2));
+  const auto cold3 = service.handle_line(fit_line(3));
+  const std::pair<int, std::string> replay[] = {
+      {3, cold3.line}, {1, cold.line},  {2, cold2.line},
+      {1, cold.line},  {3, cold3.line}, {2, cold2.line}};
+  for (const auto& [seed, body] : replay) {
+    const auto response = service.handle_line(fit_line(seed));
+    EXPECT_EQ(response.cache_tag, "hit") << seed;
+    EXPECT_EQ(response.line, body) << seed;
+  }
+  EXPECT_EQ(service.computed(), 3u);
+  EXPECT_EQ(service.memory_hits(), 7u);
 }
 
 TEST(ServeService, IdenticalRequestsInOneBatchComputeOnce) {
@@ -97,6 +112,17 @@ TEST(ServeService, EvictedPosteriorIsReServedFromStoreByteIdentical) {
   EXPECT_EQ(again.cache_tag, "disk");
   EXPECT_EQ(again.line, first.line);
   EXPECT_EQ(service.disk_hits(), 1u);
+
+  // A fresh capacity-1 service over the same store answers both inline
+  // projects from the disk tier with the computed bytes.
+  auto fresh = make_service(1, dir);
+  for (const auto& [seed, body] :
+       {std::pair{1, first.line}, std::pair{2, evictor.line}}) {
+    const auto response = fresh.handle_line(fit_line(seed));
+    EXPECT_EQ(response.cache_tag, "disk") << seed;
+    EXPECT_EQ(response.line, body) << seed;
+  }
+  EXPECT_EQ(fresh.computed(), 0u);
   fs::remove_all(dir);
 }
 
