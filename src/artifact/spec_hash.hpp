@@ -27,6 +27,7 @@
 #include "core/experiment.hpp"
 #include "data/bug_count_data.hpp"
 #include "report/sweep.hpp"
+#include "support/json.hpp"
 
 namespace srm::artifact {
 
@@ -37,6 +38,13 @@ std::uint64_t fnv1a64(std::string_view bytes);
 
 /// `value` as 16 lowercase hex digits (zero padded).
 std::string hex64(std::uint64_t value);
+
+/// The dataset's daily counts as a JSON array: the dataset part of every
+/// identity (the display name is not part of it).
+support::Json canonical_counts(const data::BugCountData& base);
+
+/// The result-determining Gibbs fields (see the contract above).
+support::Json canonical_gibbs(const mcmc::GibbsOptions& gibbs);
 
 /// Canonical compact-JSON identity of one cell. spec.observation_days is
 /// deliberately not part of the identity: the cell's posterior depends only

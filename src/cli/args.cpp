@@ -105,4 +105,9 @@ std::vector<std::string> Args::unused() const {
   return names;
 }
 
+void Args::reject_unused() const {
+  const auto names = unused();
+  if (!names.empty()) throw InvalidArgument("unknown flag --" + names.front());
+}
+
 }  // namespace srm::cli

@@ -37,6 +37,8 @@ class Args {
 
   /// Names that were never read — used to reject typos.
   [[nodiscard]] std::vector<std::string> unused() const;
+  /// Throws srm::InvalidArgument naming the first unused flag, if any.
+  void reject_unused() const;
 
  private:
   std::map<std::string, std::string> values_;

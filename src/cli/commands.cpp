@@ -45,17 +45,12 @@ data::BugCountData load_dataset(const Args& args,
     if (source == "ntds") return data::ntds_grouped();
     return data::BugCountData::from_csv_file(source);
   }();
-  // --days truncates inside the series and zero-pads (virtual testing)
-  // beyond it.
-  const auto days = args.get_int("days", 0);
-  if (days > 0) {
-    if (static_cast<std::size_t>(days) <= data.days()) {
-      data = data.truncated(static_cast<std::size_t>(days));
-    } else {
-      data = data.with_virtual_testing(static_cast<std::size_t>(days));
-    }
-  }
-  return data;
+  // --days N observes the series at day N (truncated inside the series,
+  // zero-padded as virtual testing beyond it); 0, the default, keeps it
+  // whole.
+  const auto days = args.get_size("days", 0);
+  if (days == 0) return data;
+  return core::dataset_at_observation(data, days);
 }
 
 core::PriorKind parse_prior(const Args& args) {
@@ -103,18 +98,21 @@ core::DetectionModelKind parse_model(const Args& args,
   return kind;
 }
 
-mcmc::GibbsOptions parse_gibbs(const Args& args) {
-  mcmc::GibbsOptions gibbs;
-  gibbs.chain_count = args.get_size("chains", 2);
-  gibbs.burn_in = args.get_size("burn-in", 500);
-  gibbs.iterations = args.get_size("iterations", 2500);
-  gibbs.thin = args.get_size("thin", 1);
-  gibbs.seed = static_cast<std::uint64_t>(args.get_int("seed", 20240624));
-  // fit and select score every draw in-scan and never read stored draws;
-  // the core helpers behind predict and release keep traces on their own.
-  gibbs.keep_traces = false;
+/// The MCMC flags over the command's defaults: by default the paper's
+/// 2 chains x (500 burn-in + 2500 retained) scans, streamed (fit and select
+/// score every draw in-scan; the core helpers behind predict and release
+/// keep traces on their own).
+mcmc::GibbsOptions parse_gibbs(
+    const Args& args,
+    mcmc::GibbsOptions gibbs = report::paper_sweep_options().gibbs) {
+  gibbs.chain_count = args.get_size("chains", gibbs.chain_count);
+  gibbs.burn_in = args.get_size("burn-in", gibbs.burn_in);
+  gibbs.iterations = args.get_size("iterations", gibbs.iterations);
+  gibbs.thin = args.get_size("thin", gibbs.thin);
+  gibbs.seed = static_cast<std::uint64_t>(
+      args.get_int("seed", static_cast<std::int64_t>(gibbs.seed)));
   // Opt-in SIMD batch kernels; forks result identity (see GibbsOptions).
-  gibbs.vectorized = args.has("vectorized");
+  if (args.has("vectorized")) gibbs.vectorized = true;
   return gibbs;
 }
 
@@ -127,21 +125,15 @@ void configure_runtime(const Args& args) {
   runtime::ThreadPool::set_global_thread_count(args.get_size("threads", 0));
 }
 
-core::HyperPriorConfig parse_config(const Args& args) {
-  core::HyperPriorConfig config;
+/// The hyperprior flags over the command's defaults.
+core::HyperPriorConfig parse_config(const Args& args,
+                                    core::HyperPriorConfig config = {}) {
   config.lambda_max = args.get_double("lambda-max", config.lambda_max);
   config.alpha_max = args.get_double("alpha-max", config.alpha_max);
   config.limits.theta_max =
       args.get_double("theta-max", config.limits.theta_max);
-  config.jeffreys_lambda0 = args.has("jeffreys");
+  if (args.has("jeffreys")) config.jeffreys_lambda0 = true;
   return config;
-}
-
-void reject_unused(const Args& args) {
-  const auto unused = args.unused();
-  if (!unused.empty()) {
-    throw InvalidArgument("unknown flag --" + unused.front());
-  }
 }
 
 /// "48,67,86" -> {48, 67, 86}.
@@ -185,7 +177,7 @@ int run_fit(const Args& args, std::ostream& out) {
   request.observation_day = data.days();
   request.eventual_total = data.total();
   const std::string format = parse_format(args, {"table", "json"});
-  reject_unused(args);
+  args.reject_unused();
 
   const auto result = core::fit_cell(data, request);
   if (format == "json") {
@@ -225,7 +217,7 @@ int run_select(const Args& args, std::ostream& out) {
   const auto gibbs = parse_gibbs(args);
   const auto config = parse_config(args);
   const std::string format = parse_format(args, {"table", "json"});
-  reject_unused(args);
+  args.reject_unused();
   // chains x iterations >= kMinLooDraws, written so it cannot wrap.
   require_input(gibbs.iterations >= 1 &&
                     gibbs.chain_count >=
@@ -244,33 +236,25 @@ int run_select(const Args& args, std::ostream& out) {
     double weight;
   };
   std::vector<Row> rows;
-  // The selection grid is the registry: every family's selection_models
-  // columns, in registration order. Families lacking a requested result-
-  // identity fork are excluded from that fork's grid (they have no sampler
-  // for it), keeping the fork runs deterministic.
-  for (const auto& entry : core::model_families().families()) {
-    if (gibbs.vectorized && !entry.supports_vectorized) continue;
-    for (const auto kind : entry.selection_models) {
-      const auto model = core::make_model(entry.kind, kind, data, config,
-                                          gibbs);
-      Row row{entry.id, core::to_string(kind), {}, 0.0, {}, 0.0};
-      // Score each draw in-scan; PSIS-LOO still needs the raw pointwise
-      // columns for its tail fits, so the scorer keeps the flat matrix
-      // while the traces themselves are never stored.
-      core::StreamingScorer scorer(*model, gibbs.chain_count,
-                                   gibbs.iterations, /*keep_matrix=*/true);
-      core::ResidualAccumulator residual(model->residual_index(),
-                                         gibbs.chain_count, gibbs.iterations);
-      const std::array<mcmc::PosteriorAccumulator*, 2> sinks{&scorer,
-                                                             &residual};
-      mcmc::run_gibbs(*model, gibbs, sinks);
-      row.waic = scorer.waic();
-      row.looic =
-          core::compute_psis_loo_from_matrix(scorer.log_likelihood_matrix())
-              .looic;
-      row.posterior = residual.finalize();
-      rows.push_back(std::move(row));
-    }
+  for (const auto& [prior, kind] : report::select_grid(gibbs)) {
+    const auto model = core::make_model(prior, kind, data, config, gibbs);
+    Row row{core::to_string(prior), core::to_string(kind), {}, 0.0, {}, 0.0};
+    // Score each draw in-scan; PSIS-LOO still needs the raw pointwise
+    // columns for its tail fits, so the scorer keeps the flat matrix while
+    // the traces themselves are never stored.
+    core::StreamingScorer scorer(*model, gibbs.chain_count, gibbs.iterations,
+                                 /*keep_matrix=*/true);
+    core::ResidualAccumulator residual(model->residual_index(),
+                                       gibbs.chain_count, gibbs.iterations);
+    const std::array<mcmc::PosteriorAccumulator*, 2> sinks{&scorer,
+                                                           &residual};
+    mcmc::run_gibbs(*model, gibbs, sinks);
+    row.waic = scorer.waic();
+    row.looic =
+        core::compute_psis_loo_from_matrix(scorer.log_likelihood_matrix())
+            .looic;
+    row.posterior = residual.finalize();
+    rows.push_back(std::move(row));
   }
   // Pseudo-BMA weights over the whole grid (computed in grid order, before
   // ranking reorders the rows) and the weighted mixture posterior.
@@ -327,15 +311,12 @@ int run_select(const Args& args, std::ostream& out) {
 
 int run_predict(const Args& args, std::ostream& out) {
   const auto data = load_dataset(args);
-  const auto fit_days =
-      static_cast<std::size_t>(args.get_int("fit-days", 0));
-  require_input(fit_days >= 1 && fit_days < data.days(),
-                "--fit-days must be a strict prefix of the series");
+  const auto fit_days = args.get_size("fit-days", 0);
   const auto prior = parse_prior(args);
   const auto model = parse_model(args, prior);
   const auto config = parse_config(args);
   const auto gibbs = parse_gibbs(args);
-  reject_unused(args);
+  args.reject_unused();
 
   const auto summary = core::fit_and_score_holdout(data, fit_days, prior,
                                                    model, config, gibbs);
@@ -353,7 +334,7 @@ int run_predict(const Args& args, std::ostream& out) {
 
 int run_mle(const Args& args, std::ostream& out) {
   const auto data = load_dataset(args);
-  reject_unused(args);
+  args.reject_unused();
   out << "dataset: " << data.name() << " (" << data.total() << " bugs / "
       << data.days() << " days)\n";
   const auto fits = mle::fit_all_models(data);
@@ -374,7 +355,7 @@ int run_mle(const Args& args, std::ostream& out) {
 
 int run_nhpp(const Args& args, std::ostream& out) {
   const auto data = load_dataset(args);
-  reject_unused(args);
+  args.reject_unused();
   out << "dataset: " << data.name() << " (" << data.total() << " bugs / "
       << data.days() << " days)\n";
   const auto fits = nhpp::fit_all_nhpp_models(data);
@@ -396,7 +377,7 @@ int run_nhpp(const Args& args, std::ostream& out) {
 
 int run_simulate(const Args& args, std::ostream& out) {
   const auto bugs = args.get_int("bugs", 100);
-  const auto days = static_cast<std::size_t>(args.get_int("days", 50));
+  const auto days = args.get_size("days", 50);
   const auto kind = parse_model_name(args, "model0");
   const auto detector = core::make_detection_model(kind);
 
@@ -407,10 +388,16 @@ int run_simulate(const Args& args, std::ostream& out) {
                   "simulate with " + core::to_string(kind) + " requires --" +
                       support.name);
     zeta.push_back(args.get_double(support.name, 0.0));
+    // The open support the model's prior puts on the parameter: at its
+    // closed ends some detection probabilities are undefined.
+    require_input(zeta.back() > support.lower && zeta.back() < support.upper,
+                  "--" + support.name + " must be in (" +
+                      support::Json::format_double(support.lower) + ", " +
+                      support::Json::format_double(support.upper) + ")");
   }
   random::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 1)));
   const std::string out_path = args.get_string("out", "");
-  reject_unused(args);
+  args.reject_unused();
 
   const auto data = data::simulate_detection_process(
       bugs, days,
@@ -443,17 +430,11 @@ int run_release(const Args& args, std::ostream& out) {
   core::ReleaseCosts costs;
   costs.cost_per_testing_day = args.get_double("day-cost", 1.0);
   costs.cost_per_residual_bug = args.get_double("bug-cost", 50.0);
-  const auto horizon = args.get_int("horizon", 60);
-  reject_unused(args);
-  // Checked here, as serve does, so a bad value never costs a Gibbs run
-  // and reads as a user error.
-  require_input(horizon >= 1, "--horizon must be >= 1");
-  require_input(costs.cost_per_testing_day > 0.0, "--day-cost must be > 0");
-  require_input(costs.cost_per_residual_bug >= 0.0, "--bug-cost must be >= 0");
+  const auto horizon = args.get_size("horizon", 60);
+  args.reject_unused();
 
   const auto [run, plan] = core::fit_and_plan_release(
-      data, prior, kind, config, gibbs, static_cast<std::size_t>(horizon),
-      costs);
+      data, prior, kind, config, gibbs, horizon, costs);
   const auto posterior = core::summarize_residual_posterior(run);
   const auto [lo, hi] = posterior.credible_interval(0.95);
   out << "residual bugs today (day " << data.days() << "): mean "
@@ -495,21 +476,8 @@ int run_sweep(const Args& args, std::ostream& out) {
     options.observation_days = parse_day_list(args.require_string("obs-days"));
   }
   options.eventual_total = args.get_int("total", options.eventual_total);
-  options.gibbs.chain_count = args.get_size("chains", options.gibbs.chain_count);
-  options.gibbs.burn_in = args.get_size("burn-in", options.gibbs.burn_in);
-  options.gibbs.iterations =
-      args.get_size("iterations", options.gibbs.iterations);
-  options.gibbs.thin = args.get_size("thin", options.gibbs.thin);
-  options.gibbs.seed = static_cast<std::uint64_t>(
-      args.get_int("seed", static_cast<std::int64_t>(options.gibbs.seed)));
-  if (args.has("vectorized")) options.gibbs.vectorized = true;
-  options.base_config.lambda_max =
-      args.get_double("lambda-max", options.base_config.lambda_max);
-  options.base_config.alpha_max =
-      args.get_double("alpha-max", options.base_config.alpha_max);
-  options.base_config.limits.theta_max =
-      args.get_double("theta-max", options.base_config.limits.theta_max);
-  if (args.has("jeffreys")) options.base_config.jeffreys_lambda0 = true;
+  options.gibbs = parse_gibbs(args, options.gibbs);
+  options.base_config = parse_config(args, options.base_config);
 
   const std::string out_dir = args.get_string("out", "");
   const bool resume = args.has("resume");
@@ -517,9 +485,13 @@ int run_sweep(const Args& args, std::ostream& out) {
   const std::string format = parse_format(args, {"table", "json", "csv"});
   require_input(!out_dir.empty() || (!resume && max_cells == 0),
                 "--resume and --max-cells require --out DIR");
-  reject_unused(args);
-  // Every cell's settings are checked before the store writes its
-  // manifest, so a sweep that cannot run leaves no directory behind.
+  args.reject_unused();
+  // Every cell's settings and observation day are checked before the store
+  // writes its manifest, so a sweep that cannot run leaves no directory
+  // behind.
+  for (const auto day : options.observation_days) {
+    core::validate_observation_day(day);
+  }
   for (const auto& [prior, model] : report::sweep_grid(options.families)) {
     core::validate_fit_settings(prior, options.config_for(prior, model),
                                 options.gibbs);
@@ -564,7 +536,7 @@ int run_sweep(const Args& args, std::ostream& out) {
 
 int run_families(const Args& args, std::ostream& out) {
   const std::string format = parse_format(args, {"table", "markdown"});
-  reject_unused(args);
+  args.reject_unused();
   if (format == "markdown") {
     // The exact table embedded in README.md; a docs test pins the README
     // copy to this output so the two can never drift.

@@ -5,19 +5,20 @@
 
 namespace srm::core {
 
+// srm-lint: allow(expects) — validate_observation_day checks the day
 data::BugCountData dataset_at_observation(const data::BugCountData& base,
                                           std::size_t observation_day) {
-  SRM_EXPECTS(observation_day >= 1, "observation day must be >= 1");
+  validate_observation_day(observation_day);
   if (observation_day <= base.days()) {
     return base.truncated(observation_day);
   }
   return base.with_virtual_testing(observation_day);
 }
 
+// srm-lint: allow(expects) — fit_cell validates the day
 ObservationResult run_observation(const data::BugCountData& base,
                                   const ExperimentSpec& spec,
                                   std::size_t observation_day) {
-  SRM_EXPECTS(observation_day >= 1, "observation day must be >= 1");
   // The sweep-oriented entry points are projections of the single-cell fit
   // API: one day of a spec is a FitRequest (core/fit.hpp), and every
   // frontend — this driver, the CLI, the estimation service — shares that
@@ -26,29 +27,13 @@ ObservationResult run_observation(const data::BugCountData& base,
 }
 
 std::vector<ObservationResult> run_experiment(const data::BugCountData& base,
-                                              const ExperimentSpec& spec,
-                                              ObservationStore* store) {
+                                              const ExperimentSpec& spec) {
   SRM_EXPECTS(!spec.observation_days.empty(),
               "experiment needs at least one observation day");
   std::vector<ObservationResult> results;
   results.reserve(spec.observation_days.size());
   for (const std::size_t day : spec.observation_days) {
-    if (store == nullptr) {
-      results.push_back(run_observation(base, spec, day));
-      continue;
-    }
-    ObservationResult stored;
-    switch (store->plan(spec, day, stored)) {
-      case ObservationStore::Plan::kReuse:
-        results.push_back(std::move(stored));
-        break;
-      case ObservationStore::Plan::kSkip:
-        break;
-      case ObservationStore::Plan::kCompute:
-        results.push_back(run_observation(base, spec, day));
-        store->on_computed(spec, day, results.back());
-        break;
-    }
+    results.push_back(run_observation(base, spec, day));
   }
   return results;
 }

@@ -23,9 +23,9 @@ ExperimentSpec to_experiment_spec(const FitRequest& request) {
   return spec;
 }
 
+// srm-lint: allow(expects) — fit_cell validates the day
 FitRequest single_cell_request(const ExperimentSpec& spec,
                                std::size_t observation_day) {
-  SRM_EXPECTS(observation_day >= 1, "observation day must be >= 1");
   FitRequest request;
   request.prior = spec.prior;
   request.model = spec.model;
@@ -46,9 +46,15 @@ void validate_fit_settings(PriorKind family, const HyperPriorConfig& config,
                     "needs 4 draws per chain)");
 }
 
+// srm-lint: allow(expects) — user input, checked by require_input
+void validate_observation_day(std::size_t day) {
+  require_input(day >= 1, "day must be >= 1");
+  require_input(day <= data::kMaxDays,
+                "day must be <= " + support::dec(data::kMaxDays));
+}
+
 ObservationResult fit_cell(const data::BugCountData& base,
                            const FitRequest& request) {
-  SRM_EXPECTS(request.observation_day >= 1, "observation day must be >= 1");
   validate_fit_settings(request.prior, request.config, request.gibbs);
   const auto observed = dataset_at_observation(base, request.observation_day);
 

@@ -52,12 +52,18 @@ inline constexpr std::size_t kMinFitIterations = 40;
 void validate_fit_settings(PriorKind family, const HyperPriorConfig& config,
                            const mcmc::GibbsOptions& gibbs);
 
+/// Throws support::InvalidArgument, with a plain message naming the serve
+/// field, unless 1 <= day <= data::kMaxDays. The one home of the
+/// observation-day rule: dataset_at_observation (so fit_cell and every
+/// sweep cell) runs it, and the CLI and serve run it before any work.
+void validate_observation_day(std::size_t day);
+
 /// Fits the requested SRM on `base` seen at the request's observation day
 /// (truncate + zero-pad, Section 5.1) and returns the residual-bug
 /// posterior, WAIC and per-parameter convergence diagnostics. Deterministic
 /// given the request: bit-identical for any worker count, with or without
 /// keep_traces. Throws support::InvalidArgument before sampling when
-/// validate_fit_settings rejects the request.
+/// validate_fit_settings or validate_observation_day rejects the request.
 ObservationResult fit_cell(const data::BugCountData& base,
                            const FitRequest& request);
 

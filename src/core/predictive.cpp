@@ -106,13 +106,19 @@ PredictiveSummary score_holdout(const BayesianSrm& model,
   return summary;
 }
 
+// srm-lint: allow(expects) — user input, checked by require_input
+void validate_holdout_split(std::size_t fit_days, std::size_t series_days) {
+  require_input(fit_days >= 1 && fit_days < series_days,
+                "fit_days must name a strict prefix of the project's series");
+}
+
+// srm-lint: allow(expects) — validate_holdout_split checks fit_days
 PredictiveSummary fit_and_score_holdout(const data::BugCountData& full,
                                         std::size_t fit_days, PriorKind prior,
                                         DetectionModelKind model_kind,
                                         const HyperPriorConfig& config,
                                         const mcmc::GibbsOptions& gibbs) {
-  SRM_EXPECTS(fit_days >= 1 && fit_days < full.days(),
-              "fit window must be a strict prefix");
+  validate_holdout_split(fit_days, full.days());
   mcmc::GibbsOptions traced = gibbs;
   traced.keep_traces = true;
   const auto model =

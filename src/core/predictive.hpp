@@ -43,9 +43,15 @@ PredictiveSummary score_holdout(const BayesianSrm& model,
                                 const mcmc::McmcRun& run,
                                 const data::BugCountData& full);
 
+/// Throws support::InvalidArgument, with a plain message naming the serve
+/// field, unless 1 <= fit_days < series_days: the fit window must leave at
+/// least one day to score.
+void validate_holdout_split(std::size_t fit_days, std::size_t series_days);
+
 /// Convenience: truncate, fit by Gibbs, and score in one call. The scorer
 /// walks the raw chains, so the fit always keeps its traces whatever
-/// `gibbs.keep_traces` says (the flag never changes the draws).
+/// `gibbs.keep_traces` says (the flag never changes the draws). Runs
+/// validate_holdout_split before any sampling.
 PredictiveSummary fit_and_score_holdout(const data::BugCountData& full,
                                         std::size_t fit_days, PriorKind prior,
                                         DetectionModelKind model_kind,

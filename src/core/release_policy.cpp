@@ -5,16 +5,22 @@
 #include <utility>
 
 #include "support/error.hpp"
+#include "support/format.hpp"
 
 namespace srm::core {
 
+// srm-lint: allow(expects) — user input, checked by require_input
+void validate_release_plan(std::size_t horizon, const ReleaseCosts& costs) {
+  require_input(horizon >= 1, "horizon must be >= 1");
+  require_input(horizon <= data::kMaxDays,
+                "horizon must be <= " + support::dec(data::kMaxDays));
+  require_input(costs.cost_per_testing_day > 0.0, "day_cost must be > 0");
+  require_input(costs.cost_per_residual_bug >= 0.0, "bug_cost must be >= 0");
+}
+
 ReleasePlan plan_release(const BayesianSrm& model, const mcmc::McmcRun& run,
                          std::size_t horizon, const ReleaseCosts& costs) {
-  SRM_EXPECTS(horizon >= 1, "plan_release requires horizon >= 1");
-  SRM_EXPECTS(costs.cost_per_testing_day > 0.0,
-              "testing-day cost must be positive");
-  SRM_EXPECTS(costs.cost_per_residual_bug >= 0.0,
-              "residual-bug cost must be non-negative");
+  validate_release_plan(horizon, costs);
   SRM_EXPECTS(run.parameter_names().size() == model.state_size(),
               "McmcRun does not match the model's state layout");
   const std::size_t total_samples = run.total_samples();
@@ -67,14 +73,15 @@ ReleasePlan plan_release(const BayesianSrm& model, const mcmc::McmcRun& run,
   return plan;
 }
 
+// srm-lint: allow(expects) — validate_release_plan checks the horizon
 ReleaseFit fit_and_plan_release(const data::BugCountData& data,
                                 PriorKind prior, DetectionModelKind model_kind,
                                 const HyperPriorConfig& config,
                                 const mcmc::GibbsOptions& gibbs,
                                 std::size_t horizon,
                                 const ReleaseCosts& costs) {
-  // Checked before the fit so a bad horizon never costs a Gibbs run.
-  SRM_EXPECTS(horizon >= 1, "plan_release requires horizon >= 1");
+  // Checked before the fit so a bad plan never costs a Gibbs run.
+  validate_release_plan(horizon, costs);
   mcmc::GibbsOptions traced = gibbs;
   traced.keep_traces = true;
   const auto model = make_model(prior, model_kind, data, config, traced);

@@ -36,9 +36,14 @@ struct ReleasePlan {
   ReleaseDecision best;                   ///< cost-minimizing entry
 };
 
+/// Throws support::InvalidArgument, with a plain message naming the serve
+/// field, unless 1 <= horizon <= data::kMaxDays, the testing-day cost is
+/// > 0 and the residual-bug cost is >= 0.
+void validate_release_plan(std::size_t horizon, const ReleaseCosts& costs);
+
 /// Evaluates releasing at each day in [today, today + horizon], where
 /// `today` = model.data().days() and `run` is the posterior fitted on that
-/// data. Horizon must be >= 1.
+/// data. Runs validate_release_plan first.
 ReleasePlan plan_release(const BayesianSrm& model, const mcmc::McmcRun& run,
                          std::size_t horizon, const ReleaseCosts& costs);
 
@@ -51,7 +56,8 @@ struct ReleaseFit {
 /// Builds the family's model on `data`, fits it by Gibbs and plans the
 /// release from the stored run. plan_release walks the raw chains, so the
 /// fit always keeps its traces whatever `gibbs.keep_traces` says (the flag
-/// never changes the draws).
+/// never changes the draws). Runs validate_release_plan before any
+/// sampling.
 ReleaseFit fit_and_plan_release(const data::BugCountData& data,
                                 PriorKind prior, DetectionModelKind model_kind,
                                 const HyperPriorConfig& config,

@@ -9,11 +9,20 @@ namespace srm::data {
 BugCountData::BugCountData(std::string name,
                            std::vector<std::int64_t> daily_counts)
     : name_(std::move(name)), counts_(std::move(daily_counts)) {
-  SRM_EXPECTS(!counts_.empty(), "BugCountData requires at least one day");
+  // Built once: every series (each truncation and padding included) runs
+  // these checks, the last one once per day.
+  static const std::string too_long =
+      "project counts must span <= " + support::dec(kMaxDays) + " days";
+  static const std::string too_many =
+      "project counts must total <= " + support::dec(kMaxBugs) + " bugs";
+  require_input(!counts_.empty(), "project counts must not be empty");
+  require_input(counts_.size() <= kMaxDays, too_long);
   cumulative_.reserve(counts_.size());
   std::int64_t running = 0;
   for (const std::int64_t x : counts_) {
-    SRM_EXPECTS(x >= 0, "BugCountData daily counts must be >= 0");
+    require_input(x >= 0, "project counts must be >= 0");
+    // running <= kMaxBugs, so neither side of the test can overflow.
+    require_input(x <= kMaxBugs - running, too_many);
     running += x;
     cumulative_.push_back(running);
   }

@@ -14,10 +14,20 @@
 
 namespace srm::data {
 
+/// Most days a series, an observation day or a release horizon may span:
+/// about 27 years of daily testing, 68x the paper's last observation day
+/// (146). Bounds every per-day allocation a user value can ask for.
+inline constexpr std::size_t kMaxDays = 10'000;
+
+/// Most bugs a series may total (and a simulation may start from), so no
+/// cumulative count can overflow std::int64_t.
+inline constexpr std::int64_t kMaxBugs = 1'000'000'000;
+
 class BugCountData {
  public:
-  /// `daily_counts[i]` is the number of bugs found on day i+1; all entries
-  /// must be >= 0 and at least one day is required.
+  /// `daily_counts[i]` is the number of bugs found on day i+1. Throws
+  /// srm::InvalidArgument, with a plain message, unless there are 1 to
+  /// kMaxDays days, every count is >= 0 and they total at most kMaxBugs.
   BugCountData(std::string name, std::vector<std::int64_t> daily_counts);
 
   /// Loads "day,count" CSV rows (header optional, '#' comments allowed).

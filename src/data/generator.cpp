@@ -14,9 +14,15 @@ BugCountData simulate_detection_process(
     std::int64_t initial_bugs, std::size_t days,
     const DetectionProbabilityFn& detection_probability, random::Rng& rng,
     const std::string& name) {
-  SRM_EXPECTS(initial_bugs >= 0,
-              "simulate_detection_process requires initial_bugs >= 0");
-  SRM_EXPECTS(days >= 1, "simulate_detection_process requires days >= 1");
+  // Built once: replication batches call this many times.
+  static const std::string too_many =
+      "bugs must be <= " + support::dec(kMaxBugs);
+  static const std::string too_long =
+      "days must be <= " + support::dec(kMaxDays);
+  require_input(initial_bugs >= 0, "bugs must be >= 0");
+  require_input(initial_bugs <= kMaxBugs, too_many);
+  require_input(days >= 1, "days must be >= 1");
+  require_input(days <= kMaxDays, too_long);
 
   std::vector<std::int64_t> counts;
   counts.reserve(days);

@@ -20,7 +20,9 @@ namespace srm::data {
 using DetectionProbabilityFn = std::function<double(std::size_t)>;
 
 /// Simulates `days` testing days starting from `initial_bugs` bugs.
-/// X_i | remaining ~ Binomial(remaining, p_i).
+/// X_i | remaining ~ Binomial(remaining, p_i). Throws srm::InvalidArgument,
+/// with a plain message, unless 0 <= initial_bugs <= kMaxBugs and
+/// 1 <= days <= kMaxDays.
 BugCountData simulate_detection_process(
     std::int64_t initial_bugs, std::size_t days,
     const DetectionProbabilityFn& detection_probability, random::Rng& rng,

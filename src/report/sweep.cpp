@@ -136,6 +136,17 @@ std::vector<std::pair<core::PriorKind, core::DetectionModelKind>> sweep_grid(
   return grid;
 }
 
+std::vector<std::pair<core::PriorKind, core::DetectionModelKind>> select_grid(
+    const mcmc::GibbsOptions& gibbs) {
+  std::vector<core::PriorKind> families;
+  for (const auto& entry : core::model_families().families()) {
+    if (!gibbs.vectorized || entry.supports_vectorized) {
+      families.push_back(entry.kind);
+    }
+  }
+  return sweep_grid(families);
+}
+
 SweepOptions paper_sweep_options() {
   SweepOptions options;
   options.observation_days.assign(std::begin(data::kSys1ObservationPoints),

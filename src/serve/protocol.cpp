@@ -67,9 +67,7 @@ data::BugCountData parse_project(const Json& value) {
     std::vector<std::int64_t> counts;
     for (const auto& entry : value.at("counts").as_array()) {
       counts.push_back(entry.as_int());
-      require_input(counts.back() >= 0, "project counts must be >= 0");
     }
-    require_input(!counts.empty(), "project counts must not be empty");
     return data::BugCountData(name, std::move(counts));
   }
   throw InvalidArgument(
@@ -153,38 +151,16 @@ core::DetectionModelKind parse_model(const Json& request,
   return *parsed;
 }
 
-/// The result-determining Gibbs fields, mirroring the artifact layer's
-/// canonical form (artifact/spec_hash.cpp).
-Json canonical_gibbs(const mcmc::GibbsOptions& gibbs) {
-  Json json = Json::Object{};
-  json.set("chain_count", Json::from_unsigned(gibbs.chain_count));
-  json.set("burn_in", Json::from_unsigned(gibbs.burn_in));
-  json.set("iterations", Json::from_unsigned(gibbs.iterations));
-  json.set("thin", Json::from_unsigned(gibbs.thin));
-  json.set("seed", static_cast<std::int64_t>(gibbs.seed));
-  // Omit-if-false, mirroring the artifact layer: scalar requests keep
-  // their pre-flag identity bytes, vectorized ones get distinct cells.
-  if (gibbs.vectorized) json.set("vectorized", true);
-  return json;
-}
-
-Json canonical_counts(const data::BugCountData& base) {
-  Json::Array counts;
-  counts.reserve(base.days());
-  for (const auto count : base.counts()) counts.push_back(count);
-  return counts;
-}
-
 /// Op-tagged canonical identity for the request shapes that are not plain
 /// sweep cells (predict/release/select).
 std::string op_identity(const Request& request) {
   Json json = Json::Object{};
   json.set("op", to_string(request.op));
-  json.set("counts", canonical_counts(request.project));
+  json.set("counts", artifact::canonical_counts(request.project));
   json.set("prior", core::to_string(request.fit.prior));
   json.set("model", core::to_string(request.fit.model));
   json.set("config", artifact::to_json(request.fit.config));
-  json.set("gibbs", canonical_gibbs(request.fit.gibbs));
+  json.set("gibbs", artifact::canonical_gibbs(request.fit.gibbs));
   switch (request.op) {
     case Op::kPredict:
       json.set("fit_days", Json::from_unsigned(request.fit_days));
@@ -262,14 +238,14 @@ Request parse_request(const Json& json) {
   request.fit.model = parse_model(json, request.fit.prior);
   request.fit.config = parse_config(json.find("config"));
   request.fit.gibbs = parse_gibbs(json.find("gibbs"));
-  // Sampler settings and hyperprior limits are checked here, before any
-  // compute, for every op. select carries no prior, so its default family
-  // supports every fork (select narrows its grid to the supporting ones).
+  // Every value is checked here by its core validator, before any compute,
+  // for every op. select carries no prior, so its default family supports
+  // every fork (select narrows its grid to the supporting ones).
   core::validate_family_gibbs(request.fit.prior, request.fit.config,
                               request.fit.gibbs);
   request.fit.observation_day =
       member_size(json, "day", request.project.days());
-  require_input(request.fit.observation_day >= 1, "day must be >= 1");
+  core::validate_observation_day(request.fit.observation_day);
   if (const Json* total = json.find("total"); total != nullptr) {
     request.fit.eventual_total = total->as_int();
   } else {
@@ -278,21 +254,15 @@ Request parse_request(const Json& json) {
 
   if (request.op == Op::kPredict) {
     request.fit_days = member_size(json, "fit_days", 0);
-    require_input(
-        request.fit_days >= 1 && request.fit_days < request.project.days(),
-        "fit_days must name a strict prefix of the project's series");
+    core::validate_holdout_split(request.fit_days, request.project.days());
   }
   if (request.op == Op::kRelease) {
     request.horizon = member_size(json, "horizon", request.horizon);
-    require_input(request.horizon >= 1, "horizon must be >= 1");
     request.costs.cost_per_testing_day =
         member_double(json, "day_cost", request.costs.cost_per_testing_day);
     request.costs.cost_per_residual_bug =
         member_double(json, "bug_cost", request.costs.cost_per_residual_bug);
-    require_input(request.costs.cost_per_testing_day > 0.0,
-                  "day_cost must be > 0");
-    require_input(request.costs.cost_per_residual_bug >= 0.0,
-                  "bug_cost must be >= 0");
+    core::validate_release_plan(request.horizon, request.costs);
   }
   return request;
 }

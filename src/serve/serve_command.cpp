@@ -69,10 +69,7 @@ int run_serve(const cli::Args& args, std::istream& in, std::ostream& out,
   require_input(max_batch >= 1, "--batch must be >= 1");
   const std::string socket_path = args.get_string("socket", "");
 
-  const auto unused = args.unused();
-  if (!unused.empty()) {
-    throw InvalidArgument("unknown flag --" + unused.front());
-  }
+  args.reject_unused();
 
   Service service(options);
   if (!socket_path.empty()) {

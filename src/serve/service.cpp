@@ -10,6 +10,7 @@
 #include "artifact/serialize.hpp"
 #include "artifact/spec_hash.hpp"
 #include "core/experiment.hpp"
+#include "report/sweep.hpp"
 #include "runtime/task_group.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
@@ -34,54 +35,30 @@ Json fit_envelope(const data::BugCountData& project,
   return cell;
 }
 
-Json predict_envelope(const Request& request, const std::string& hash) {
-  const auto summary = core::fit_and_score_holdout(
-      request.project, request.fit_days, request.fit.prior, request.fit.model,
-      request.fit.config, request.fit.gibbs);
+/// A predict or release envelope: the op's result under its request hash.
+Json op_envelope(const Request& request, const std::string& hash) {
+  const auto& fit = request.fit;
+  Json result;
+  if (request.op == Op::kPredict) {
+    result = to_json(core::fit_and_score_holdout(
+        request.project, request.fit_days, fit.prior, fit.model, fit.config,
+        fit.gibbs));
+  } else {
+    const auto observed =
+        core::dataset_at_observation(request.project, fit.observation_day);
+    result = to_json(core::fit_and_plan_release(observed, fit.prior,
+                                                fit.model, fit.config,
+                                                fit.gibbs, request.horizon,
+                                                request.costs)
+                         .plan);
+    result.set("observation_day", Json::from_unsigned(fit.observation_day));
+  }
   Json cell = Json::Object{};
   cell.set("schema_version", artifact::kSchemaVersion);
   cell.set("hash", hash);
-  cell.set("op", "predict");
-  cell.set("result", to_json(summary));
-  return cell;
-}
-
-Json release_envelope(const Request& request, const std::string& hash) {
-  const auto observed = core::dataset_at_observation(
-      request.project, request.fit.observation_day);
-  const auto plan =
-      core::fit_and_plan_release(observed, request.fit.prior,
-                                 request.fit.model, request.fit.config,
-                                 request.fit.gibbs, request.horizon,
-                                 request.costs)
-          .plan;
-  Json cell = Json::Object{};
-  cell.set("schema_version", artifact::kSchemaVersion);
-  cell.set("hash", hash);
-  cell.set("op", "release");
-  Json result = to_json(plan);
-  result.set("observation_day",
-             Json::from_unsigned(request.fit.observation_day));
+  cell.set("op", to_string(request.op));
   cell.set("result", std::move(result));
   return cell;
-}
-
-/// The grid a select request expands to, in deterministic registry order:
-/// every registered family's selection models. Families that lack a
-/// requested vectorized result-identity fork are skipped,
-/// mirroring the CLI's select command.
-std::vector<core::FitRequest> select_grid(const Request& request) {
-  std::vector<core::FitRequest> grid;
-  for (const auto& entry : core::model_families().families()) {
-    if (request.fit.gibbs.vectorized && !entry.supports_vectorized) continue;
-    for (const auto model : entry.selection_models) {
-      core::FitRequest fit = request.fit;
-      fit.prior = entry.kind;
-      fit.model = model;
-      grid.push_back(fit);
-    }
-  }
-  return grid;
 }
 
 /// One need = one cacheable computation a request depends on.
@@ -144,17 +121,17 @@ std::vector<ResponseInfo> Service::handle_batch(
                }});
           break;
         case Op::kPredict:
-          entry.needs.push_back({hash, [request, hash] {
-                                   return predict_envelope(request, hash);
-                                 }});
-          break;
         case Op::kRelease:
           entry.needs.push_back({hash, [request, hash] {
-                                   return release_envelope(request, hash);
+                                   return op_envelope(request, hash);
                                  }});
           break;
         case Op::kSelect:
-          for (const auto& fit : select_grid(request)) {
+          for (const auto& [prior, model] :
+               report::select_grid(request.fit.gibbs)) {
+            core::FitRequest fit = request.fit;
+            fit.prior = prior;
+            fit.model = model;
             const std::string cell = artifact::cell_hash(
                 request.project, core::to_experiment_spec(fit),
                 fit.observation_day);

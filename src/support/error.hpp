@@ -12,6 +12,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace srm {
 
@@ -42,9 +43,10 @@ class NumericError : public Error {
 /// Check of user input (CLI flags and files, serve requests): throws
 /// InvalidArgument carrying just `message`. SRM_EXPECTS is for contract
 /// violations; it adds the condition text and source location, which a
-/// user should never see.
-inline void require_input(bool ok, const std::string& message) {
-  if (!ok) throw InvalidArgument(message);
+/// user should never see. A literal message costs no allocation unless the
+/// check fails.
+inline void require_input(bool ok, std::string_view message) {
+  if (!ok) throw InvalidArgument(std::string(message));
 }
 
 namespace detail {

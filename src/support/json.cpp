@@ -61,8 +61,7 @@ class Parser {
   Json run() {
     Json value = parse_value(0);
     skip_ws();
-    SRM_EXPECTS(pos_ == text_.size(),
-                "JSON: trailing characters at offset " + std::to_string(pos_));
+    if (pos_ != text_.size()) fail("trailing characters");
     return value;
   }
 
@@ -342,8 +341,9 @@ std::int64_t Json::as_int() const {
 
 std::uint64_t Json::as_unsigned() const {
   const std::int64_t value = as_int();
-  SRM_EXPECTS(value >= 0, "JSON integer is negative where a count was "
-                          "expected");
+  // Documents come from outside the program (serve requests, artifacts).
+  require_input(value >= 0,
+                "JSON integer is negative where a count was expected");
   return static_cast<std::uint64_t>(value);
 }
 
@@ -378,8 +378,10 @@ const Json* Json::find(std::string_view key) const {
 
 const Json& Json::at(std::string_view key) const {
   const Json* found = find(key);
-  SRM_EXPECTS(found != nullptr,
-              "JSON object has no member '" + std::string(key) + "'");
+  if (found == nullptr) {
+    throw InvalidArgument("JSON object has no member '" + std::string(key) +
+                          "'");
+  }
   return *found;
 }
 

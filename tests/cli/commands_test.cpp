@@ -268,13 +268,18 @@ TEST(CliUserErrors, UnknownFormat) {
 }
 
 TEST(CliUserErrors, FitDaysOutsideTheSeries) {
-  expect_plain_user_error("predict", {"--csv", "sys1", "--fit-days", "0"},
-                          "--fit-days must be a strict prefix of the series");
+  expect_plain_user_error(
+      "predict", {"--csv", "sys1", "--fit-days", "0"},
+      "fit_days must name a strict prefix of the project's series");
 }
 
 TEST(CliUserErrors, ZeroObservationDay) {
   expect_plain_user_error("sweep", {"--csv", "sys1", "--obs-days", "48,0"},
                           "--obs-days entries must be positive");
+  // --days 0 keeps the whole series; a negative day is an error, not a
+  // silent "all days".
+  expect_plain_user_error("fit", {"--csv", "sys1", "--days", "-4"},
+                          "flag --days expects a non-negative integer, got -4");
 }
 
 TEST(CliUserErrors, ResumeOrBudgetWithoutOut) {
@@ -310,11 +315,11 @@ TEST(CliUserErrors, ReleaseArgumentsAreCheckedBeforeTheFit) {
     return flags;
   };
   expect_plain_user_error("release", with("--horizon", "0"),
-                          "--horizon must be >= 1");
+                          "horizon must be >= 1");
   expect_plain_user_error("release", with("--day-cost", "0"),
-                          "--day-cost must be > 0");
+                          "day_cost must be > 0");
   expect_plain_user_error("release", with("--bug-cost", "-1"),
-                          "--bug-cost must be >= 0");
+                          "bug_cost must be >= 0");
   // Nothing of the fit was printed before the error.
   EXPECT_EQ(run("release", with("--horizon", "0")).out, "");
 }
@@ -435,6 +440,111 @@ TEST(CliUserErrors, MalformedCsvFiles) {
   std::filesystem::remove(one_cell);
   std::filesystem::remove(gap);
   std::filesystem::remove(header_only);
+}
+
+/// Writes `body` to a temporary CSV file and returns its path.
+std::string temp_csv(const std::string& name, const std::string& body) {
+  const auto path = (std::filesystem::temp_directory_path() / name).string();
+  std::ofstream(path) << body;
+  return path;
+}
+
+/// A "day,count" CSV body of `days` rows, all zero but the first.
+std::string csv_rows(std::size_t days, const std::string& first) {
+  std::string body = "day,count\n1," + first + "\n";
+  for (std::size_t day = 2; day <= days; ++day) {
+    body += std::to_string(day) + ",0\n";
+  }
+  return body;
+}
+
+TEST(CliUserErrors, OversizedDaysHorizonsAndCountsArePlainErrors) {
+  // Each of these once aborted on std::bad_alloc or leaked an SRM_EXPECTS
+  // report; the days and bug limits now refuse them before any work.
+  const std::string huge = "100000000000";
+  for (const auto& days : {huge, std::string("10001")}) {
+    expect_plain_user_error("fit", {"--csv", "sys1", "--days", days},
+                            "day must be <= 10000");
+    expect_plain_user_error("release", {"--csv", "sys1", "--horizon", days},
+                            "horizon must be <= 10000");
+    expect_plain_user_error("simulate", {"--mu", "0.5", "--days", days},
+                            "days must be <= 10000");
+    expect_plain_user_error("sweep", {"--csv", "sys1", "--obs-days", days},
+                            "day must be <= 10000");
+  }
+  const auto dir =
+      std::filesystem::temp_directory_path() / "srm_cli_oversized_sweep";
+  std::filesystem::remove_all(dir);
+  expect_plain_user_error("sweep",
+                          {"--smoke", "--obs-days", "48," + huge, "--out",
+                           dir.string()},
+                          "day must be <= 10000");
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  expect_plain_user_error("simulate", {"--mu", "0.5", "--bugs", "1000000001"},
+                          "bugs must be <= 1000000000");
+
+  const std::string too_many = "project counts must total <= 1000000000 bugs";
+  const auto overflow =
+      temp_csv("srm_overflow.csv", "day,count\n1,9223372036854775807\n2,5\n");
+  expect_plain_user_error("fit", {"--csv", overflow}, too_many);
+  const auto one_over =
+      temp_csv("srm_one_over.csv", "day,count\n1,1000000000\n2,1\n");
+  expect_plain_user_error("fit", {"--csv", one_over}, too_many);
+  const auto too_long = temp_csv("srm_too_long.csv", csv_rows(10001, "3"));
+  expect_plain_user_error("fit", {"--csv", too_long},
+                          "project counts must span <= 10000 days");
+  std::filesystem::remove(overflow);
+  std::filesystem::remove(one_over);
+  std::filesystem::remove(too_long);
+}
+
+TEST(CliUserErrors, LimitsAdmitTheirExactBoundary) {
+  const std::vector<std::string> quick = {"--iterations", "40", "--burn-in",
+                                          "10"};
+  const auto with_quick = [&](std::vector<std::string> flags) {
+    flags.insert(flags.end(), quick.begin(), quick.end());
+    return flags;
+  };
+  const auto fit = run("fit", with_quick({"--csv", "sys1", "--days", "10000"}));
+  EXPECT_EQ(fit.code, 0) << fit.err;
+  EXPECT_NE(fit.out.find("(136 bugs / 10000 days)"), std::string::npos);
+  const auto release =
+      run("release", with_quick({"--csv", "sys1", "--horizon", "10000"}));
+  EXPECT_EQ(release.code, 0) << release.err;
+  EXPECT_NE(release.out.find("| 10096 "), std::string::npos);
+  const auto simulate = run("simulate", {"--mu", "0.5", "--bugs", "1000000000",
+                                         "--days", "10000"});
+  EXPECT_EQ(simulate.code, 0) << simulate.err;
+  EXPECT_EQ(simulate.out.rfind(
+                "simulated 1000000000 of 1000000000 bugs over 10000 days", 0),
+            0u);
+  const auto at_total =
+      temp_csv("srm_at_total.csv", "day,count\n1,999999999\n2,1\n");
+  const auto at_days = temp_csv("srm_at_days.csv", csv_rows(10000, "3"));
+  for (const auto& path : {at_total, at_days}) {
+    const auto result = run("fit", with_quick({"--csv", path}));
+    EXPECT_EQ(result.code, 0) << path << ": " << result.err;
+    std::filesystem::remove(path);
+  }
+}
+
+TEST(CliUserErrors, SimulateArgumentsAreCheckedBeforeTheRun) {
+  expect_plain_user_error("simulate", {"--mu", "0.5", "--bugs", "-3"},
+                          "bugs must be >= 0");
+  expect_plain_user_error("simulate", {"--mu", "0.5", "--days", "0"},
+                          "days must be >= 1");
+  expect_plain_user_error("simulate", {"--mu", "0.5", "--days", "-2"},
+                          "flag --days expects a non-negative integer, got -2");
+  expect_plain_user_error("simulate", {"--mu", "1.5"},
+                          "--mu must be in (0.0, 1.0)");
+  expect_plain_user_error("simulate", {"--mu", "0"},
+                          "--mu must be in (0.0, 1.0)");
+  expect_plain_user_error(
+      "simulate", {"--model", "model1", "--mu", "0.5", "--theta", "11"},
+      "--theta must be in (0.0, 10.0)");
+  expect_plain_user_error(
+      "simulate", {"--model", "multinomial", "--shape", "0", "--scale", "0"},
+      "--shape must be in (0.0, 20.0)");
 }
 
 TEST(CliUserErrors, MalformedObservationDay) {

@@ -1,6 +1,8 @@
 // Tests for the virtual-testing experiment driver (Section 5.1 protocol).
 #include "core/experiment.hpp"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "support/error.hpp"
@@ -35,6 +37,23 @@ TEST(DatasetAtObservation, FullLengthIsIdentity) {
 TEST(DatasetAtObservation, RejectsZeroDay) {
   EXPECT_THROW(core::dataset_at_observation(base_data(), 0),
                srm::InvalidArgument);
+}
+
+TEST(DatasetAtObservation, DaysLimitIsAnExactBoundary) {
+  const auto observed =
+      core::dataset_at_observation(base_data(), srm::data::kMaxDays);
+  EXPECT_EQ(observed.days(), srm::data::kMaxDays);
+  EXPECT_EQ(observed.total(), base_data().total());
+  for (const std::size_t day : {std::size_t{0}, srm::data::kMaxDays + 1,
+                                std::size_t{100000000000}}) {
+    try {
+      (void)core::dataset_at_observation(base_data(), day);
+      ADD_FAILURE() << "day " << day << " was accepted";
+    } catch (const srm::InvalidArgument& e) {
+      EXPECT_EQ(std::string(e.what()), day == 0 ? "day must be >= 1"
+                                                : "day must be <= 10000");
+    }
+  }
 }
 
 core::ExperimentSpec quick_spec() {

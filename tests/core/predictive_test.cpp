@@ -106,6 +106,10 @@ TEST(Predictive, RejectsDegenerateWindows) {
                    full, 0, core::PriorKind::kPoisson,
                    core::DetectionModelKind::kConstant, {}, quick_gibbs()),
                srm::InvalidArgument);
+  EXPECT_THROW(core::fit_and_score_holdout(
+                   full, 100000000000, core::PriorKind::kPoisson,
+                   core::DetectionModelKind::kConstant, {}, quick_gibbs()),
+               srm::InvalidArgument);
 }
 
 }  // namespace

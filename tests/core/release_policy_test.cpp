@@ -1,6 +1,8 @@
 // Tests for the optimal release-planning module.
 #include "core/release_policy.hpp"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/bayes_srm.hpp"
@@ -96,6 +98,33 @@ TEST(ReleasePolicy, ValidatesArguments) {
   bad.cost_per_residual_bug = -1.0;
   EXPECT_THROW(core::plan_release(f.model, f.run, 5, bad),
                srm::InvalidArgument);
+}
+
+TEST(ReleasePolicy, HorizonLimitIsAnExactBoundary) {
+  const auto message = [](std::size_t horizon) {
+    try {
+      core::validate_release_plan(horizon, {});
+    } catch (const srm::InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(message(srm::data::kMaxDays), "");
+  EXPECT_EQ(message(srm::data::kMaxDays + 1), "horizon must be <= 10000");
+  EXPECT_EQ(message(0), "horizon must be >= 1");
+  // fit_and_plan_release refuses the horizon first, before the Gibbs
+  // settings (over budget here) and before any sampling.
+  srm::mcmc::GibbsOptions gibbs;
+  gibbs.iterations = 4'000'000'000;
+  try {
+    (void)core::fit_and_plan_release(
+        BugCountData("t", {5, 4, 3}), core::PriorKind::kPoisson,
+        core::DetectionModelKind::kConstant, {}, gibbs,
+        srm::data::kMaxDays + 1, {});
+    ADD_FAILURE() << "an oversized horizon was accepted";
+  } catch (const srm::InvalidArgument& e) {
+    EXPECT_EQ(std::string(e.what()), "horizon must be <= 10000");
+  }
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 // manipulations (truncation, virtual-testing padding, CSV loading).
 #include "data/bug_count_data.hpp"
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +30,33 @@ TEST(BugCountData, CumulativeBookkeeping) {
 TEST(BugCountData, RejectsInvalidInput) {
   EXPECT_THROW(BugCountData("t", {}), srm::InvalidArgument);
   EXPECT_THROW(BugCountData("t", {1, -2}), srm::InvalidArgument);
+}
+
+/// The message a rejected series carries ("" if it is accepted).
+std::string rejection(std::vector<std::int64_t> counts) {
+  try {
+    (void)BugCountData("t", std::move(counts));
+  } catch (const srm::InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BugCountData, DaysAndBugLimitsAreExactBoundaries) {
+  using srm::data::kMaxBugs;
+  using srm::data::kMaxDays;
+  EXPECT_EQ(rejection(std::vector<std::int64_t>(kMaxDays, 1)), "");
+  EXPECT_EQ(rejection(std::vector<std::int64_t>(kMaxDays + 1, 0)),
+            "project counts must span <= 10000 days");
+  EXPECT_EQ(rejection({kMaxBugs}), "");
+  EXPECT_EQ(rejection({kMaxBugs - 1, 1}), "");
+  EXPECT_EQ(rejection({kMaxBugs, 1}),
+            "project counts must total <= 1000000000 bugs");
+  // A total past int64 is refused before the running sum can overflow.
+  EXPECT_EQ(rejection({INT64_MAX, 5}),
+            "project counts must total <= 1000000000 bugs");
+  EXPECT_EQ(rejection({5, INT64_MAX}),
+            "project counts must total <= 1000000000 bugs");
 }
 
 TEST(BugCountData, DayAccessorsValidateRange) {

@@ -2,6 +2,7 @@
 #include "data/generator.hpp"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -88,6 +89,28 @@ TEST(Generator, RejectsInvalidArguments) {
   EXPECT_THROW(simulate_detection_process(
                    10, 5, [](std::size_t) { return 1.5; }, rng),
                srm::InvalidArgument);
+}
+
+TEST(Generator, BugAndDayLimitsAreExactBoundaries) {
+  Rng rng(5);
+  const auto half = [](std::size_t) { return 0.5; };
+  const auto data = simulate_detection_process(srm::data::kMaxBugs,
+                                               srm::data::kMaxDays, half, rng);
+  EXPECT_EQ(data.days(), srm::data::kMaxDays);
+  EXPECT_EQ(data.total(), srm::data::kMaxBugs);
+  const auto message = [&](std::int64_t bugs, std::size_t days) {
+    try {
+      (void)simulate_detection_process(bugs, days, half, rng);
+    } catch (const srm::InvalidArgument& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(message(srm::data::kMaxBugs + 1, 5), "bugs must be <= 1000000000");
+  EXPECT_EQ(message(-3, 5), "bugs must be >= 0");
+  EXPECT_EQ(message(10, srm::data::kMaxDays + 1), "days must be <= 10000");
+  EXPECT_EQ(message(10, 100000000000), "days must be <= 10000");
+  EXPECT_EQ(message(10, 0), "days must be >= 1");
 }
 
 }  // namespace

@@ -209,10 +209,57 @@ TEST(ServeProtocol, UserErrorsCarryPlainMessages) {
       {R"({"op":"predict","project":"sys1","fit_days":40,)"
        R"("gibbs":{"iterations":4294967296,"thin":4294967296}})",
        kOverBudget},
+      // Oversized days, horizons and counts (each once answered
+      // "std::bad_alloc" or leaked an SRM_EXPECTS report), with the
+      // one-over boundary of each limit.
+      {R"({"op":"fit","project":"sys1","day":100000000000})",
+       "day must be <= 10000"},
+      {R"({"op":"select","project":"sys1","day":100000000000})",
+       "day must be <= 10000"},
+      {R"({"op":"release","project":"sys1","day":100000000000})",
+       "day must be <= 10000"},
+      {R"({"op":"fit","project":"sys1","day":10001})",
+       "day must be <= 10000"},
+      {R"({"op":"fit","project":"sys1","day":-1})",
+       "JSON integer is negative where a count was expected"},
+      {R"({"op":"fit"})", "JSON object has no member 'project'"},
+      {R"({"op":"fit","project":{"counts":[1]}})",
+       "JSON object has no member 'name'"},
+      {R"({"op":"release","project":"sys1","horizon":100000000000})",
+       "horizon must be <= 10000"},
+      {R"({"op":"release","project":"sys1","horizon":10001})",
+       "horizon must be <= 10000"},
+      {R"({"op":"predict","project":"sys1","fit_days":100000000000})",
+       "fit_days must name a strict prefix of the project's series"},
+      {R"({"op":"fit","project":{"name":"x",)"
+       R"("counts":[9223372036854775807,5]}})",
+       "project counts must total <= 1000000000 bugs"},
+      {R"({"op":"fit","project":{"name":"x","counts":[1000000000,1]}})",
+       "project counts must total <= 1000000000 bugs"},
   };
   for (const auto& [request, message] : cases) {
     EXPECT_EQ(request_error(request), message) << request;
   }
+}
+
+TEST(ServeProtocol, LimitsAdmitTheirExactBoundary) {
+  EXPECT_EQ(request_error(R"({"op":"fit","project":"sys1","day":10000})"), "");
+  EXPECT_EQ(
+      request_error(R"({"op":"release","project":"sys1","horizon":10000})"),
+      "");
+  EXPECT_EQ(request_error(R"({"op":"fit","project":{"name":"x",)"
+                          R"("counts":[999999999,1]}})"),
+            "");
+  // A 10000-day inline series is accepted; one day more is not.
+  const auto series = [](std::size_t days) {
+    std::string counts = "1";
+    for (std::size_t day = 2; day <= days; ++day) counts += ",0";
+    return R"({"op":"fit","project":{"name":"x","counts":[)" + counts +
+           "]}}";
+  };
+  EXPECT_EQ(request_error(series(10000)), "");
+  EXPECT_EQ(request_error(series(10001)),
+            "project counts must span <= 10000 days");
 }
 
 TEST(ServeProtocol, InlineProjectCountsAreCheckedBeforeTheData) {

@@ -157,6 +157,13 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("1 2"), srm::InvalidArgument);
   EXPECT_THROW(Json::parse("tru"), srm::InvalidArgument);
   EXPECT_THROW(Json::parse("\"\\uD83D\""), srm::InvalidArgument);
+  // Parse errors are plain messages (a serve line quotes them verbatim).
+  try {
+    (void)Json::parse("{} x");
+    ADD_FAILURE() << "trailing characters accepted";
+  } catch (const srm::InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "JSON: trailing characters at offset 3");
+  }
 }
 
 TEST(Json, TypeMismatchesThrow) {
