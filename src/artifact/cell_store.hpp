@@ -21,8 +21,10 @@ namespace srm::artifact {
 
 /// Artifact directory schema version; bumped on any layout or
 /// serialization change so stale directories fail loudly instead of being
-/// misread.
-inline constexpr std::int64_t kSchemaVersion = 1;
+/// misread. Version 2: model2/3/4 cells hold draws from the one lane
+/// likelihood path, which version 1 directories may hold libm-formula
+/// draws for under the same spec hash.
+inline constexpr std::int64_t kSchemaVersion = 2;
 
 /// Library identity stamped into manifests.
 inline constexpr const char* kLibraryVersion = "bayes-srm 0.5.0";

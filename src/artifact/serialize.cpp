@@ -58,9 +58,6 @@ Json to_json(const mcmc::GibbsOptions& gibbs) {
   json.set("seed", static_cast<std::int64_t>(gibbs.seed));
   json.set("parallel_chains", gibbs.parallel_chains);
   json.set("keep_traces", gibbs.keep_traces);
-  // Omit-if-false so artifacts written by scalar runs keep their exact
-  // pre-flag bytes (resume diffs them byte for byte).
-  if (gibbs.vectorized) json.set("vectorized", true);
   return json;
 }
 
@@ -73,10 +70,6 @@ mcmc::GibbsOptions gibbs_options_from_json(const Json& json) {
   gibbs.seed = static_cast<std::uint64_t>(json.at("seed").as_int());
   gibbs.parallel_chains = json.at("parallel_chains").as_bool();
   gibbs.keep_traces = json.at("keep_traces").as_bool();
-  // Optional for backward compatibility: pre-SIMD artifacts lack the key.
-  if (const Json* vectorized = json.find("vectorized")) {
-    gibbs.vectorized = vectorized->as_bool();
-  }
   // Artifacts of the retired lane-parallel executor: their draws came from
   // a different kernel, so reading one back as a scalar spec would be a
   // silent identity change.

@@ -23,10 +23,6 @@ Json canonical_gibbs(const mcmc::GibbsOptions& gibbs) {
   json.set("iterations", Json::from_unsigned(gibbs.iterations));
   json.set("thin", Json::from_unsigned(gibbs.thin));
   json.set("seed", static_cast<std::int64_t>(gibbs.seed));
-  // Omit-if-false: the scalar default keeps the identity bytes (and every
-  // pinned hash) of releases that predate the flag, while vectorized runs
-  // land in distinct cells — SIMD arithmetic forks the draws.
-  if (gibbs.vectorized) json.set("vectorized", true);
   return json;
 }
 

@@ -111,8 +111,6 @@ mcmc::GibbsOptions parse_gibbs(
   gibbs.thin = args.get_size("thin", gibbs.thin);
   gibbs.seed = static_cast<std::uint64_t>(
       args.get_int("seed", static_cast<std::int64_t>(gibbs.seed)));
-  // Opt-in SIMD batch kernels; forks result identity (see GibbsOptions).
-  if (args.has("vectorized")) gibbs.vectorized = true;
   return gibbs;
 }
 
@@ -144,9 +142,8 @@ std::vector<std::size_t> parse_day_list(const std::string& text) {
     const auto comma = text.find(',', start);
     const auto length =
         comma == std::string::npos ? text.size() - start : comma - start;
-    const auto value = support::parse_count(text.substr(start, length));
-    require_input(value > 0, "--obs-days entries must be positive");
-    days.push_back(static_cast<std::size_t>(value));
+    days.push_back(static_cast<std::size_t>(
+        support::parse_count(text.substr(start, length))));
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -236,7 +233,7 @@ int run_select(const Args& args, std::ostream& out) {
     double weight;
   };
   std::vector<Row> rows;
-  for (const auto& [prior, kind] : report::select_grid(gibbs)) {
+  for (const auto& [prior, kind] : report::select_grid()) {
     const auto model = core::make_model(prior, kind, data, config, gibbs);
     Row row{core::to_string(prior), core::to_string(kind), {}, 0.0, {}, 0.0};
     // Score each draw in-scan; PSIS-LOO still needs the raw pointwise
@@ -492,6 +489,7 @@ int run_sweep(const Args& args, std::ostream& out) {
   for (const auto day : options.observation_days) {
     core::validate_observation_day(day);
   }
+  core::validate_eventual_total(options.eventual_total, data);
   for (const auto& [prior, model] : report::sweep_grid(options.families)) {
     core::validate_fit_settings(prior, options.config_for(prior, model),
                                 options.gibbs);
@@ -544,7 +542,7 @@ int run_families(const Args& args, std::ostream& out) {
     return 0;
   }
   support::Table t("registered model families");
-  t.set_header({"id", "family", "models", "hyper-parameters", "forks"});
+  t.set_header({"id", "family", "models", "hyper-parameters"});
   for (const auto& entry : core::model_families().families()) {
     std::string models;
     for (const auto kind : entry.accepted_models) {
@@ -556,8 +554,7 @@ int run_families(const Args& args, std::ostream& out) {
       if (!hyper.empty()) hyper += ' ';
       hyper += name;
     }
-    t.add_row({entry.id, entry.display_name, models, hyper,
-               entry.supports_vectorized ? "vectorized" : "scalar only"});
+    t.add_row({entry.id, entry.display_name, models, hyper});
   }
   out << t.render();
   return 0;
@@ -601,9 +598,6 @@ std::string usage() {
       "  --model " + joined(core::detection_model_names()) +
       ", --chains, --burn-in, --iterations, --seed,\n"
       "  --thin N        keep every N-th retained scan (default 1)\n"
-      "  --vectorized    SIMD detection kernels for model2/3/4 (faster, but\n"
-      "                  draws differ from scalar at the ULP level, so\n"
-      "                  artifact/serve hashes change with this flag)\n"
       "  --lambda-max, --alpha-max, --theta-max, --jeffreys,\n"
       "  --threads N  worker threads for chains/sweeps/scoring\n"
       "               (0 = all hardware threads; SRM_THREADS env also works;\n"

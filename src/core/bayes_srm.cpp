@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "core/conjugate.hpp"
-#include "core/detection_simd.hpp"
 #include "core/likelihood.hpp"
 #include "mcmc/metropolis.hpp"
 #include "mcmc/slice.hpp"
@@ -27,13 +26,11 @@ double interior_uniform(random::Rng& rng, double lo, double hi) {
 }  // namespace
 
 BayesianSrm::BayesianSrm(PriorKind prior, DetectionModelKind model_kind,
-                         data::BugCountData data, HyperPriorConfig config,
-                         bool vectorized)
+                         data::BugCountData data, HyperPriorConfig config)
     : prior_(prior),
-      model_(make_detection_model(model_kind, vectorized)),
+      model_(make_detection_model(model_kind)),
       data_(std::move(data)),
       config_(config),
-      vectorized_(vectorized),
       zeta_supports_(model_->parameter_supports(config.limits)) {
   SRM_EXPECTS(config.lambda_max > 0.0, "lambda_max must be positive");
   if (prior_ == PriorKind::kSizeBiased) {
@@ -56,9 +53,7 @@ BayesianSrm::Workspace::Workspace(const BayesianSrm& model)
       probe(model.model_->parameter_count(), 0.0),
       proposal(model.model_->parameter_count(), 0.0),
       probabilities(model.data_.days(), 0.0),
-      log_survivals(model.data_.days(), 0.0),
-      log_p(model.vectorized_ ? model.data_.days() : 0, 0.0),
-      log_1mp(model.vectorized_ ? model.data_.days() : 0, 0.0) {}
+      log_survivals(model.data_.days(), 0.0) {}
 
 std::unique_ptr<mcmc::GibbsWorkspace> BayesianSrm::make_workspace() const {
   return std::make_unique<Workspace>(*this);
@@ -426,7 +421,11 @@ void BayesianSrm::pointwise_log_likelihood_into(std::span<const double> state,
               "pointwise output needs one slot per testing day");
   model_->probabilities_into(data_.days(), state.subspan(zeta_offset()),
                              ws.probabilities);
-  fill_pointwise(initial_bugs_of(state), ws, out);
+  const std::int64_t initial_bugs = initial_bugs_of(state);
+  for (std::size_t day = 1; day <= data_.days(); ++day) {
+    out[day - 1] =
+        log_pointwise_likelihood(data_, day, initial_bugs, ws.probabilities);
+  }
 }
 
 bool BayesianSrm::is_scan_workspace(
@@ -441,46 +440,6 @@ void BayesianSrm::pointwise_row(std::span<const double> state,
   SRM_EXPECTS(ws != nullptr,
               "pointwise_row requires a workspace from make_workspace()");
   pointwise_log_likelihood_into(state, *ws, out);
-}
-
-void BayesianSrm::fill_pointwise(std::int64_t initial_bugs, Workspace& ws,
-                                 std::span<double> out) const {
-  if (!vectorized_) {
-    for (std::size_t day = 1; day <= data_.days(); ++day) {
-      out[day - 1] =
-          log_pointwise_likelihood(data_, day, initial_bugs, ws.probabilities);
-    }
-    return;
-  }
-  // Vectorized fill: sweep log(p_i) and log(1 - p_i) through the simd
-  // kernels, then combine per day with exactly the branch structure of
-  // log_pointwise_likelihood (impossible counts and degenerate p_i take
-  // the same early-outs, so only the transcendental terms differ, within
-  // the documented ULP budget).
-  simd_kernels::log_into(ws.probabilities, ws.log_p);
-  simd_kernels::log1p_neg_into(ws.probabilities, ws.log_1mp);
-  for (std::size_t day = 1; day <= data_.days(); ++day) {
-    const std::int64_t remaining_before =
-        initial_bugs - data_.cumulative_through(day - 1);
-    const std::int64_t x = data_.count_on_day(day);
-    if (remaining_before < x || x < 0) {
-      out[day - 1] = kNegInf;
-      continue;
-    }
-    const double p = ws.probabilities[day - 1];
-    if (p <= 0.0) {
-      out[day - 1] = x == 0 ? 0.0 : kNegInf;
-      continue;
-    }
-    if (p >= 1.0) {
-      out[day - 1] = x == remaining_before ? 0.0 : kNegInf;
-      continue;
-    }
-    out[day - 1] = math::log_binomial(remaining_before, x) +
-                   static_cast<double>(x) * ws.log_p[day - 1] +
-                   static_cast<double>(remaining_before - x) *
-                       ws.log_1mp[day - 1];
-  }
 }
 
 double BayesianSrm::log_joint(std::span<const double> state) const {
@@ -523,8 +482,7 @@ std::unique_ptr<BayesianSrm> make_model(PriorKind prior,
                                         const mcmc::GibbsOptions& gibbs) {
   validate_family_model(prior, model);
   validate_family_gibbs(prior, config, gibbs);
-  return std::make_unique<BayesianSrm>(prior, model, std::move(data), config,
-                                       gibbs.vectorized);
+  return std::make_unique<BayesianSrm>(prior, model, std::move(data), config);
 }
 
 }  // namespace srm::core

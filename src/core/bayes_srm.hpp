@@ -48,15 +48,11 @@ namespace srm::core {
 /// block), and the detection model for out-of-window prediction.
 class BayesianSrm final : public mcmc::GibbsModel {
  public:
-  /// `vectorized` routes the detection batch channels and the pointwise
-  /// log-likelihood fill through the support/simd kernels (models that
-  /// have them; see GibbsOptions::vectorized). Default off: the scalar
-  /// path stays bit-identical to earlier releases. The size-biased prior
-  /// requires its multinomial detection model and checks the sb_* limits
-  /// instead of alpha_max / theta_max / gamma_bound.
+  /// The size-biased prior requires its multinomial detection model and
+  /// checks the sb_* limits instead of alpha_max / theta_max /
+  /// gamma_bound.
   BayesianSrm(PriorKind prior, DetectionModelKind model_kind,
-              data::BugCountData data, HyperPriorConfig config = {},
-              bool vectorized = false);
+              data::BugCountData data, HyperPriorConfig config = {});
 
   /// Per-chain scratch buffers for a full Gibbs scan, sized once from
   /// days() and parameter_count(). Threading one of these through update()
@@ -73,8 +69,6 @@ class BayesianSrm final : public mcmc::GibbsModel {
     std::vector<double> proposal;       ///< mode-jump candidate
     std::vector<double> probabilities;  ///< p_1..p_k channel
     std::vector<double> log_survivals;  ///< log q_1..log q_k channel
-    std::vector<double> log_p;          ///< log p_i sweep (vectorized fill)
-    std::vector<double> log_1mp;        ///< log(1-p_i) sweep (vectorized)
   };
 
   // --- mcmc::GibbsModel -------------------------------------------------
@@ -180,24 +174,16 @@ class BayesianSrm final : public mcmc::GibbsModel {
   [[nodiscard]] std::int64_t initial_bugs_of(
       std::span<const double> state) const;
 
-  /// Shared tail of the pointwise fills: combines the fresh probability
-  /// buffer in `workspace` into per-day log-likelihood terms. The scalar
-  /// path is the historical per-day loop; the vectorized path sweeps
-  /// log(p) / log(1-p) through the simd kernels first.
-  void fill_pointwise(std::int64_t initial_bugs, Workspace& workspace,
-                      std::span<double> out) const;
-
   PriorKind prior_;
   std::unique_ptr<DetectionModel> model_;
   data::BugCountData data_;
   HyperPriorConfig config_;
-  bool vectorized_ = false;
   std::vector<ParameterSupport> zeta_supports_;
 };
 
 /// Constructs one estimation cell's model after validate_family_model and
 /// validate_family_gibbs; the single construction path for fit/select/
-/// sweep/serve cells. Default Gibbs options: scalar, no identity forks.
+/// sweep/serve cells.
 std::unique_ptr<BayesianSrm> make_model(PriorKind family,
                                         DetectionModelKind model,
                                         data::BugCountData data,

@@ -13,9 +13,11 @@ namespace srm::core {
 
 namespace {
 
-// Each kind's `fill` is its formula, written once. Day-indexed constants
-// (log d, the Pareto hazard exponent) live in the shared thread_local
-// tables of detection_tables.hpp; each model pulls the column it needs.
+// Each kind's `fill` is its formula, written once: inline below, or for
+// the pow/log-heavy model2/3/4 the lane kernel of detection_simd.hpp.
+// Day-indexed constants (log d, the Pareto hazard exponent) live in the
+// shared thread_local tables of detection_tables.hpp; each model pulls the
+// column it needs.
 
 class ConstantModel final : public DetectionModel {
  public:
@@ -76,7 +78,6 @@ class PadgettSpurrierModel final : public DetectionModel {
 
 class LogLogisticModel final : public DetectionModel {
  public:
-  explicit LogLogisticModel(bool vectorized) : vectorized_(vectorized) {}
   DetectionModelKind kind() const override {
     return DetectionModelKind::kLogLogistic;
   }
@@ -92,42 +93,15 @@ class LogLogisticModel final : public DetectionModel {
   void fill(std::size_t first_day, std::size_t last_day,
             std::span<const double> zeta, std::span<double> p_out,
             std::span<double> log_q_out) const override {
-    const double mu = zeta[0];
-    const double gamma = zeta[1];
-    const double one_minus_mu = 1.0 - mu;
-    const auto& log_day = day_tables(last_day).log_day;
-    for (std::size_t day = first_day; day <= last_day; ++day) {
-      const std::size_t i = day - first_day;
-      const double exponent = log_day[day - 1] - gamma + 1.0;
-      // Both channels need mu^e for the same exponent; compute it once.
-      const double t = std::pow(mu, exponent);
-      if (!p_out.empty()) p_out[i] = one_minus_mu / (t + 1.0);  // Eq (5)
-      // q = (mu^e + mu) / (mu^e + 1); for mu^e overflowing, q -> 1.
-      if (!log_q_out.empty()) {
-        log_q_out[i] =
-            !std::isfinite(t) ? 0.0 : std::log(t + mu) - std::log1p(t);
-      }
-    }
+    // Eq (5) on the lanes.
+    simd_kernels::loglogistic_detection(first_day, last_day, zeta[0],
+                                        zeta[1], day_tables(last_day).log_day,
+                                        p_out, log_q_out);
   }
-  void fill_batch(std::size_t days, std::span<const double> zeta,
-                  std::span<double> p_out,
-                  std::span<double> log_q_out) const override {
-    if (vectorized_) {
-      simd_kernels::loglogistic_detection(days, zeta[0], zeta[1],
-                                          day_tables(days).log_day, p_out,
-                                          log_q_out);
-    } else {
-      fill(1, days, zeta, p_out, log_q_out);
-    }
-  }
-
- private:
-  bool vectorized_ = false;
 };
 
 class ParetoModel final : public DetectionModel {
  public:
-  explicit ParetoModel(bool vectorized) : vectorized_(vectorized) {}
   DetectionModelKind kind() const override {
     return DetectionModelKind::kPareto;
   }
@@ -142,35 +116,15 @@ class ParetoModel final : public DetectionModel {
   void fill(std::size_t first_day, std::size_t last_day,
             std::span<const double> zeta, std::span<double> p_out,
             std::span<double> log_q_out) const override {
-    const double mu = zeta[0];
-    const double log_mu = std::log(mu);
-    const auto& exponents = day_tables(last_day).pareto_exponent;
-    for (std::size_t day = first_day; day <= last_day; ++day) {
-      const std::size_t i = day - first_day;
-      const double exponent = exponents[day - 1];  // log(i+2) / (i+1)
-      if (!p_out.empty()) p_out[i] = 1.0 - std::pow(mu, exponent);  // Eq (6)
-      if (!log_q_out.empty()) log_q_out[i] = exponent * log_mu;
-    }
+    // Eq (6) on the lanes.
+    simd_kernels::pareto_detection(first_day, last_day, zeta[0],
+                                   day_tables(last_day).pareto_exponent,
+                                   p_out, log_q_out);
   }
-  void fill_batch(std::size_t days, std::span<const double> zeta,
-                  std::span<double> p_out,
-                  std::span<double> log_q_out) const override {
-    if (vectorized_) {
-      simd_kernels::pareto_detection(days, zeta[0],
-                                     day_tables(days).pareto_exponent, p_out,
-                                     log_q_out);
-    } else {
-      fill(1, days, zeta, p_out, log_q_out);
-    }
-  }
-
- private:
-  bool vectorized_ = false;
 };
 
 class WeibullModel final : public DetectionModel {
  public:
-  explicit WeibullModel(bool vectorized) : vectorized_(vectorized) {}
   DetectionModelKind kind() const override {
     return DetectionModelKind::kWeibull;
   }
@@ -182,39 +136,14 @@ class WeibullModel final : public DetectionModel {
   }
 
  protected:
-  // The loop carries pow(day, omega): pow(d - 1, omega) at day d is
-  // exactly pow(d, omega) from day d - 1 (integer days are exact doubles),
-  // so each day costs one day-power instead of two.
   void fill(std::size_t first_day, std::size_t last_day,
             std::span<const double> zeta, std::span<double> p_out,
             std::span<double> log_q_out) const override {
-    const double mu = zeta[0];
-    const double omega = zeta[1];
-    const double log_mu = std::log(mu);
-    double prev = std::pow(static_cast<double>(first_day - 1), omega);
-    for (std::size_t day = first_day; day <= last_day; ++day) {
-      const std::size_t i = day - first_day;
-      const double cur = std::pow(static_cast<double>(day), omega);
-      const double exponent = cur - prev;
-      if (!p_out.empty()) p_out[i] = 1.0 - std::pow(mu, exponent);  // Eq (7)
-      if (!log_q_out.empty()) log_q_out[i] = exponent * log_mu;
-      prev = cur;
-    }
+    // Eq (7) on the lanes.
+    simd_kernels::weibull_detection(first_day, last_day, zeta[0], zeta[1],
+                                    day_tables(last_day).log_day, p_out,
+                                    log_q_out);
   }
-  void fill_batch(std::size_t days, std::span<const double> zeta,
-                  std::span<double> p_out,
-                  std::span<double> log_q_out) const override {
-    if (vectorized_) {
-      simd_kernels::weibull_detection(days, zeta[0], zeta[1],
-                                      day_tables(days).log_day, p_out,
-                                      log_q_out);
-    } else {
-      fill(1, days, zeta, p_out, log_q_out);
-    }
-  }
-
- private:
-  bool vectorized_ = false;
 };
 
 class RayleighModel final : public DetectionModel {
@@ -404,7 +333,7 @@ void DetectionModel::probabilities_into(std::size_t days,
   SRM_EXPECTS(zeta.size() == parameter_count() && out.size() >= days,
               "probabilities_into requires a full zeta vector and "
               "out.size() >= days");
-  fill_batch(days, zeta, out.first(days), {});
+  fill(1, days, zeta, out.first(days), {});
 }
 
 void DetectionModel::log_survivals_into(std::size_t days,
@@ -413,7 +342,7 @@ void DetectionModel::log_survivals_into(std::size_t days,
   SRM_EXPECTS(zeta.size() == parameter_count() && out.size() >= days,
               "log_survivals_into requires a full zeta vector and "
               "out.size() >= days");
-  fill_batch(days, zeta, {}, out.first(days));
+  fill(1, days, zeta, {}, out.first(days));
 }
 
 void DetectionModel::detection_into(std::size_t days,
@@ -426,8 +355,8 @@ void DetectionModel::detection_into(std::size_t days,
                   log_survivals_out.size() >= days,
               "detection_into requires a full zeta vector and both out "
               "buffers >= days");
-  fill_batch(days, zeta, probabilities_out.first(days),
-             log_survivals_out.first(days));
+  fill(1, days, zeta, probabilities_out.first(days),
+       log_survivals_out.first(days));
 }
 
 std::vector<double> DetectionModel::probabilities(
@@ -435,7 +364,7 @@ std::vector<double> DetectionModel::probabilities(
   SRM_EXPECTS(zeta.size() == parameter_count(),
               "probabilities requires a full zeta vector");
   std::vector<double> p(days);
-  fill_batch(days, zeta, p, {});
+  fill(1, days, zeta, p, {});
   return p;
 }
 
@@ -444,23 +373,22 @@ std::vector<double> DetectionModel::log_survivals(
   SRM_EXPECTS(zeta.size() == parameter_count(),
               "log_survivals requires a full zeta vector");
   std::vector<double> log_q(days);
-  fill_batch(days, zeta, {}, log_q);
+  fill(1, days, zeta, {}, log_q);
   return log_q;
 }
 
-std::unique_ptr<DetectionModel> make_detection_model(DetectionModelKind kind,
-                                                     bool vectorized) {
+std::unique_ptr<DetectionModel> make_detection_model(DetectionModelKind kind) {
   switch (kind) {
     case DetectionModelKind::kConstant:
       return std::make_unique<ConstantModel>();
     case DetectionModelKind::kPadgettSpurrier:
       return std::make_unique<PadgettSpurrierModel>();
     case DetectionModelKind::kLogLogistic:
-      return std::make_unique<LogLogisticModel>(vectorized);
+      return std::make_unique<LogLogisticModel>();
     case DetectionModelKind::kPareto:
-      return std::make_unique<ParetoModel>(vectorized);
+      return std::make_unique<ParetoModel>();
     case DetectionModelKind::kWeibull:
-      return std::make_unique<WeibullModel>(vectorized);
+      return std::make_unique<WeibullModel>();
     case DetectionModelKind::kRayleigh:
       return std::make_unique<RayleighModel>();
     case DetectionModelKind::kLearningCurve:

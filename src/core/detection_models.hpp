@@ -98,13 +98,12 @@ struct DetectionModelLimits {
 
 /// A bug-detection-probability model: zeta -> {p_1, p_2, ...}.
 ///
-/// Each kind writes its formula once, as the day-range kernel `fill`. The
-/// public channels are not virtual: each checks its arguments once and
-/// calls that kernel, so every channel returns the same bits for the same
-/// (day, zeta) by construction — that identity is what keeps fixed-seed
-/// MCMC traces unchanged whichever channel a caller uses. The one fork is
-/// `vectorized` (see make_detection_model), which moves only the batch
-/// channels of model2/3/4.
+/// Each kind writes its formula once, as the day-range kernel `fill`
+/// (model2/3/4 through the lane kernels of detection_simd.hpp). The public
+/// channels are not virtual: each checks its arguments once and calls that
+/// kernel, so every channel returns the same bits for the same (day, zeta)
+/// by construction — that identity is what keeps fixed-seed MCMC traces
+/// unchanged whichever channel a caller uses.
 class DetectionModel {
  public:
   virtual ~DetectionModel() = default;
@@ -133,9 +132,7 @@ class DetectionModel {
   // The Gibbs kernel evaluates a full p_1..p_k / log q_1..log q_k sweep per
   // slice-sampler probe; the batch channels fill a caller-owned buffer in
   // one kernel call, which hoists the day-invariant subexpressions
-  // (log mu, 1 - mu, day-indexed exponent tables). With `vectorized` set,
-  // model2/3/4 route these three channels (and the two vector
-  // conveniences) through the support/simd kernels instead.
+  // (log mu, 1 - mu, day-indexed exponent tables).
 
   /// Fills out[i-1] = probability(i, zeta) for i = 1..days.
   /// Preconditions: zeta.size() == parameter_count(), out.size() >= days.
@@ -173,24 +170,9 @@ class DetectionModel {
   virtual void fill(std::size_t first_day, std::size_t last_day,
                     std::span<const double> zeta, std::span<double> p_out,
                     std::span<double> log_q_out) const = 0;
-
-  /// Days 1..days for the batch channels. The kinds with a vectorized
-  /// kernel override this, which takes the `vectorized` fork once per
-  /// model; the single-day channels always run `fill`.
-  virtual void fill_batch(std::size_t days, std::span<const double> zeta,
-                          std::span<double> p_out,
-                          std::span<double> log_q_out) const {
-    fill(1, days, zeta, p_out, log_q_out);
-  }
 };
 
-/// Factory for the five paper models (plus extensions). With `vectorized`
-/// set, the pow/log-heavy kinds (model2/3/4) route their batch channels
-/// through the support/simd kernels in detection_simd.hpp — faster but
-/// only ULP-equivalent to the scalar channel, which is why the flag rides
-/// on GibbsOptions and forks every downstream result identity. The
-/// scalar-channel kinds ignore it.
-std::unique_ptr<DetectionModel> make_detection_model(DetectionModelKind kind,
-                                                     bool vectorized = false);
+/// Factory for the five paper models (plus extensions).
+std::unique_ptr<DetectionModel> make_detection_model(DetectionModelKind kind);
 
 }  // namespace srm::core

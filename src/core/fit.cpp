@@ -53,6 +53,16 @@ void validate_observation_day(std::size_t day) {
                 "day must be <= " + support::dec(data::kMaxDays));
 }
 
+// srm-lint: allow(expects) — user input, checked by require_input
+void validate_eventual_total(std::int64_t total,
+                             const data::BugCountData& series) {
+  require_input(total >= series.total(),
+                "total must be >= the " + support::dec(series.total()) +
+                    " bugs the series records");
+  require_input(total <= data::kMaxBugs,
+                "total must be <= " + support::dec(data::kMaxBugs));
+}
+
 ObservationResult fit_cell(const data::BugCountData& base,
                            const FitRequest& request) {
   validate_fit_settings(request.prior, request.config, request.gibbs);

@@ -58,6 +58,14 @@ void validate_fit_settings(PriorKind family, const HyperPriorConfig& config,
 /// sweep cell) runs it, and the CLI and serve run it before any work.
 void validate_observation_day(std::size_t day);
 
+/// Throws support::InvalidArgument, with a plain message naming the serve
+/// field, unless series.total() <= total <= data::kMaxBugs: the eventual
+/// bug total cannot be below the bugs the series already records. The CLI
+/// (`sweep --total`) and serve (`"total"`) run it where the value enters;
+/// library callers that leave the total at its default are not checked.
+void validate_eventual_total(std::int64_t total,
+                             const data::BugCountData& series);
+
 /// Fits the requested SRM on `base` seen at the request's observation day
 /// (truncate + zero-pad, Section 5.1) and returns the residual-bug
 /// posterior, WAIC and per-parameter convergence diagnostics. Deterministic

@@ -40,8 +40,7 @@ std::vector<ModelFamily> shipped_families() {
        .accepted_models = accepted,
        .default_model = DetectionModelKind::kConstant,
        .hyper_parameter_names = {"lambda0"},
-       .tuned_scale = TunedScale::kLambdaMax,
-       .supports_vectorized = true},
+       .tuned_scale = TunedScale::kLambdaMax},
       {.kind = PriorKind::kNegativeBinomial,
        .id = "negbin",
        .display_name = "Negative binomial prior (NHMPP)",
@@ -56,8 +55,7 @@ std::vector<ModelFamily> shipped_families() {
        .accepted_models = accepted,
        .default_model = DetectionModelKind::kConstant,
        .hyper_parameter_names = {"alpha0", "beta0"},
-       .tuned_scale = TunedScale::kAlphaMax,
-       .supports_vectorized = true},
+       .tuned_scale = TunedScale::kAlphaMax},
       {.kind = PriorKind::kSizeBiased,
        .id = "sizebiased",
        .display_name = "Size-biased prior (multinomial)",
@@ -71,8 +69,7 @@ std::vector<ModelFamily> shipped_families() {
        .accepted_models = {DetectionModelKind::kSizeBiasedMultinomial},
        .default_model = DetectionModelKind::kSizeBiasedMultinomial,
        .hyper_parameter_names = {"lambda0"},
-       .tuned_scale = TunedScale::kLambdaMax,
-       .supports_vectorized = false},
+       .tuned_scale = TunedScale::kLambdaMax},
   };
 }
 
@@ -167,18 +164,12 @@ void validate_family_gibbs(PriorKind prior, const HyperPriorConfig& config,
     require_input(config.limits.theta_max > 0.0,
                   "config.theta_max must be > 0");
   }
-  const ModelFamily& entry = family(prior);
-  if (gibbs.vectorized && !entry.supports_vectorized) {
-    throw InvalidArgument("family " + entry.id +
-                          " does not implement the --vectorized fork");
-  }
 }
 
 std::string render_family_table_markdown() {
   std::string table =
-      "| Family | Id | Detection models | Hyper-parameters | Identity forks "
-      "| Reference |\n"
-      "| --- | --- | --- | --- | --- | --- |\n";
+      "| Family | Id | Detection models | Hyper-parameters | Reference |\n"
+      "| --- | --- | --- | --- | --- |\n";
   for (const ModelFamily& entry : model_families().families()) {
     table += "| ";
     table += entry.display_name;
@@ -198,8 +189,6 @@ std::string render_family_table_markdown() {
       table += entry.hyper_parameter_names[i];
       table += '`';
     }
-    table += " | ";
-    table += entry.supports_vectorized ? "vectorized" : "scalar only";
     table += " | ";
     table += entry.reference;
     table += " |\n";

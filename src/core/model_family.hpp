@@ -2,9 +2,6 @@
 // (prior structure x detection likelihood), bundling everything the outer
 // layers used to hard-code per family —
 //
-//   * construction capability: whether the family's sampler implements the
-//     --vectorized result-identity fork (core::make_model in bayes_srm.hpp
-//     builds every family's BayesianSrm directly);
 //   * parameter metadata: hyper-parameter names and which hyperprior limit
 //     the WAIC tuning grid searches;
 //   * canonical serialization identity: the stable id string used by the
@@ -117,11 +114,6 @@ struct ModelFamily {
   std::vector<std::string> hyper_parameter_names;
   /// Which hyperprior limit the tuning grid searches.
   TunedScale tuned_scale = TunedScale::kLambdaMax;
-  /// Whether the family's sampler implements the --vectorized
-  /// result-identity fork. Requests that set it on a family without it are
-  /// rejected up front — never silently run un-forked under a forked spec
-  /// hash.
-  bool supports_vectorized = false;
 };
 
 /// The process registry: the reproduction families in paper order, then
@@ -173,9 +165,8 @@ inline constexpr std::size_t kMaxGibbsScans = 1'000'000;
 /// Throws support::InvalidArgument, with a plain message naming the serve
 /// field, unless the settings can run: chains, iterations and thin >= 1;
 /// at most kMaxGibbsScans scans; lambda_max > 0, plus alpha_max and
-/// theta_max > 0 for the families that read them; and no --vectorized
-/// request for a family without that result-identity fork. make_model runs
-/// it before constructing.
+/// theta_max > 0 for the families that read them. make_model runs it
+/// before constructing.
 void validate_family_gibbs(PriorKind family, const HyperPriorConfig& config,
                            const mcmc::GibbsOptions& gibbs);
 

@@ -76,12 +76,6 @@ struct GibbsOptions {
   bool keep_traces = true;       ///< store retained draws in the McmcRun;
                                  ///< off, only streaming sinks see them and
                                  ///< the run's chains come back empty
-  bool vectorized = false;       ///< route models that support it through
-                                 ///< the support/simd batch kernels. Forks
-                                 ///< result identity (ULP-level, documented
-                                 ///< in support/simd/math.hpp), so this is
-                                 ///< a result-determining option: artifact
-                                 ///< and serve hashes incorporate it
 };
 
 /// Runs the sampler. Every retained draw is appended to the returned

@@ -136,13 +136,11 @@ std::vector<std::pair<core::PriorKind, core::DetectionModelKind>> sweep_grid(
   return grid;
 }
 
-std::vector<std::pair<core::PriorKind, core::DetectionModelKind>> select_grid(
-    const mcmc::GibbsOptions& gibbs) {
+std::vector<std::pair<core::PriorKind, core::DetectionModelKind>>
+select_grid() {
   std::vector<core::PriorKind> families;
   for (const auto& entry : core::model_families().families()) {
-    if (!gibbs.vectorized || entry.supports_vectorized) {
-      families.push_back(entry.kind);
-    }
+    families.push_back(entry.kind);
   }
   return sweep_grid(families);
 }

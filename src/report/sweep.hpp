@@ -102,11 +102,9 @@ std::vector<std::pair<core::PriorKind, core::DetectionModelKind>> sweep_grid(
     const std::vector<core::PriorKind>& families);
 
 /// The cell layout of a model-selection run (CLI and serve `select`): the
-/// sweep grid over every registered family, in registration order, minus
-/// the families that lack the --vectorized fork `gibbs` asks for (they have
-/// no sampler for it).
-std::vector<std::pair<core::PriorKind, core::DetectionModelKind>> select_grid(
-    const mcmc::GibbsOptions& gibbs);
+/// sweep grid over every registered family, in registration order.
+std::vector<std::pair<core::PriorKind, core::DetectionModelKind>>
+select_grid();
 
 /// The paper's SYS1 experimental setup with laptop-scale MCMC defaults:
 /// observation days {48,67,86,96,106,116,126,136,146}, eventual total 136,

@@ -83,19 +83,13 @@ mcmc::GibbsOptions parse_gibbs(const Json* value) {
   if (value == nullptr) return gibbs;
   reject_unknown_members(
       *value, "gibbs",
-      {"chains", "burn_in", "iterations", "thin", "seed", "vectorized"});
+      {"chains", "burn_in", "iterations", "thin", "seed"});
   gibbs.chain_count = member_size(*value, "chains", gibbs.chain_count);
   gibbs.burn_in = member_size(*value, "burn_in", gibbs.burn_in);
   gibbs.iterations = member_size(*value, "iterations", gibbs.iterations);
   gibbs.thin = member_size(*value, "thin", gibbs.thin);
   if (const Json* seed = value->find("seed"); seed != nullptr) {
     gibbs.seed = static_cast<std::uint64_t>(seed->as_int());
-  }
-  // Result-determining (SIMD kernels fork the draws), so unlike the
-  // execution flags above it joins the cache identity in canonical_gibbs.
-  if (const Json* vectorized = value->find("vectorized");
-      vectorized != nullptr) {
-    gibbs.vectorized = vectorized->as_bool();
   }
   return gibbs;
 }
@@ -239,8 +233,7 @@ Request parse_request(const Json& json) {
   request.fit.config = parse_config(json.find("config"));
   request.fit.gibbs = parse_gibbs(json.find("gibbs"));
   // Every value is checked here by its core validator, before any compute,
-  // for every op. select carries no prior, so its default family supports
-  // every fork (select narrows its grid to the supporting ones).
+  // for every op.
   core::validate_family_gibbs(request.fit.prior, request.fit.config,
                               request.fit.gibbs);
   request.fit.observation_day =
@@ -248,6 +241,8 @@ Request parse_request(const Json& json) {
   core::validate_observation_day(request.fit.observation_day);
   if (const Json* total = json.find("total"); total != nullptr) {
     request.fit.eventual_total = total->as_int();
+    core::validate_eventual_total(request.fit.eventual_total,
+                                  request.project);
   } else {
     request.fit.eventual_total = request.project.total();
   }

@@ -127,8 +127,7 @@ std::vector<ResponseInfo> Service::handle_batch(
                                  }});
           break;
         case Op::kSelect:
-          for (const auto& [prior, model] :
-               report::select_grid(request.fit.gibbs)) {
+          for (const auto& [prior, model] : report::select_grid()) {
             core::FitRequest fit = request.fit;
             fit.prior = prior;
             fit.model = model;

@@ -14,8 +14,8 @@
 // operation (add/sub/mul/div, comparisons, bit manipulation) — never a
 // fused multiply-add, approximation, or reduction — so the same algorithm
 // produces bit-identical lanes on every backend. That property is what
-// lets the vectorized golden traces (tests/mcmc) pin one digest per case
-// across the SRM_SIMD=ON/OFF CI legs.
+// lets the golden traces (tests/mcmc) pin one digest per case across the
+// SRM_SIMD=ON/OFF CI legs.
 //
 // Translation units in one binary may be compiled with different ISA
 // flags, so the whole API lives in a backend-named inline namespace
@@ -108,7 +108,6 @@ inline VecD vneq(VecD a, VecD b) {
   return {_mm256_cmp_pd(a.v, b.v, _CMP_NEQ_UQ)};
 }
 
-inline VecD vor(VecD a, VecD b) { return {_mm256_or_pd(a.v, b.v)}; }
 inline VecD vand(VecD a, VecD b) { return {_mm256_and_pd(a.v, b.v)}; }
 
 /// Lanewise `mask ? a : b`; mask lanes are all-ones or all-zero bits.
@@ -192,9 +191,6 @@ inline VecD vneq(VecD a, VecD b) {
   return {_mm_cmpneq_pd(a.lo, b.lo), _mm_cmpneq_pd(a.hi, b.hi)};
 }
 
-inline VecD vor(VecD a, VecD b) {
-  return {_mm_or_pd(a.lo, b.lo), _mm_or_pd(a.hi, b.hi)};
-}
 inline VecD vand(VecD a, VecD b) {
   return {_mm_and_pd(a.lo, b.lo), _mm_and_pd(a.hi, b.hi)};
 }
@@ -301,12 +297,6 @@ inline VecD vneq(VecD a, VecD b) {
                    veorq_u64(vceqq_f64(a.hi, b.hi), ones));
 }
 
-inline VecD vor(VecD a, VecD b) {
-  return from_mask(vorrq_u64(vreinterpretq_u64_f64(a.lo),
-                             vreinterpretq_u64_f64(b.lo)),
-                   vorrq_u64(vreinterpretq_u64_f64(a.hi),
-                             vreinterpretq_u64_f64(b.hi)));
-}
 inline VecD vand(VecD a, VecD b) {
   return from_mask(vandq_u64(vreinterpretq_u64_f64(a.lo),
                              vreinterpretq_u64_f64(b.lo)),
@@ -428,15 +418,6 @@ inline VecD vneq(VecD a, VecD b) {
                  !(a.l[2] == b.l[2]), !(a.l[3] == b.l[3]));
 }
 
-inline VecD vor(VecD a, VecD b) {
-  VecI ia, ib;
-  std::memcpy(ia.l, a.l, sizeof(ia.l));
-  std::memcpy(ib.l, b.l, sizeof(ib.l));
-  for (std::size_t i = 0; i < 4; ++i) ia.l[i] |= ib.l[i];
-  VecD out;
-  std::memcpy(out.l, ia.l, sizeof(out.l));
-  return out;
-}
 inline VecD vand(VecD a, VecD b) {
   VecI ia, ib;
   std::memcpy(ia.l, a.l, sizeof(ia.l));

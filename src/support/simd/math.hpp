@@ -1,4 +1,4 @@
-// Vectorized double-precision log / exp / log1p / pow on the lane layer.
+// Double-precision log / exp evaluated four lanes at a time.
 //
 // ## Accuracy contract
 //
@@ -6,11 +6,10 @@
 // scalar kernels, evaluated four lanes at a time with the exact-op-only
 // primitives from lanes.hpp. They are *not* bit-identical to `std::log`
 // etc. (libm uses different polynomial orderings and, on most hosts,
-// fused operations), which is why the vectorized Gibbs path forks result
-// identity and hides behind `GibbsOptions::vectorized`. They *are*
-// bit-identical to themselves across every lanes.hpp backend, because no
-// operation here depends on ISA-specific rounding (no FMA, no rsqrt-style
-// approximations, no minpd NaN asymmetry).
+// fused operations). They *are* bit-identical to themselves across every
+// lanes.hpp backend, because no operation here depends on ISA-specific
+// rounding (no FMA, no rsqrt-style approximations, no minpd NaN
+// asymmetry), and each lane is computed independently of the others.
 //
 // Worst-case error bounds versus correctly-rounded results, asserted by
 // tests/support/simd_ulp_test.cpp over random bit patterns and the
@@ -23,16 +22,10 @@
 //   exp      | kExpUlpBudget      | normal results; subnormal results may
 //            |                    | carry one extra rounding (documented
 //            |                    | below, tested with a looser bound)
-//   log1p    | kLog1pUlpBudget    | x > -1; exact for |x| < 2^-53
-//   pow      | kPowUlpBudget      | x >= 0; |y*log(x)| beyond the exp
-//            |                    | range saturates exactly to inf / 0.
-//            |                    | pow never sees x < 0 here (detection
-//            |                    | bases are probabilities/days), so
-//            |                    | that quadrant simply yields NaN
 //
-// IEEE special cases (0, +/-inf, NaN, x == 1, y == 0) match `std::`
-// semantics lane-for-lane; see the blends at the tail of each function
-// and tests/support/simd_math_test.cpp.
+// IEEE special cases (0, +/-inf, NaN) match `std::` semantics
+// lane-for-lane; see the blends at the tail of each function and
+// tests/support/simd_math_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -41,15 +34,13 @@
 
 namespace srm::simd {
 
-/// Pinned worst-case ULP budgets for the vectorized transcendentals (see
+/// Pinned worst-case ULP budgets for the lane transcendentals (see
 /// the accuracy contract above). The property tests assert the measured
 /// error stays within these; docs quote them. Budgets are deliberately a
 /// little above the worst error observed during bring-up so a compiler
 /// upgrade cannot flake the suite.
 inline constexpr double kLogUlpBudget = 2.0;
 inline constexpr double kExpUlpBudget = 2.0;
-inline constexpr double kLog1pUlpBudget = 4.0;
-inline constexpr double kPowUlpBudget = 64.0;
 /// exp results that land in the subnormal range suffer one extra rounding
 /// from the two-step 2^k scaling; the property tests use this bound there.
 inline constexpr double kExpSubnormalUlpBudget = 4096.0;
@@ -83,35 +74,6 @@ inline constexpr double kExpP5 = 0x1.6376972bea4d0p-25;
 inline constexpr double kInf = __builtin_inf();
 inline constexpr double kQuietNan = __builtin_nan("");
 
-/// An unevaluated double-double sum hi + lo with |lo| <= ulp(hi)/2.
-struct VecDD {
-  VecD hi;
-  VecD lo;
-};
-
-/// Knuth's branch-free two_sum: s + err == a + b exactly.
-inline VecDD two_sum(VecD a, VecD b) {
-  const VecD s = a + b;
-  const VecD bb = s - a;
-  const VecD err = (a - (s - bb)) + (b - bb);
-  return {s, err};
-}
-
-/// Dekker's two_prod via 2^27+1 splitting (no FMA): p + err == a*b exactly
-/// for products that neither overflow nor hit the subnormal range.
-inline VecDD two_prod(VecD a, VecD b) {
-  const VecD split = vset1(134217729.0);  // 2^27 + 1
-  const VecD ca = split * a;
-  const VecD ah = ca - (ca - a);
-  const VecD al = a - ah;
-  const VecD cb = split * b;
-  const VecD bh = cb - (cb - b);
-  const VecD bl = b - bh;
-  const VecD p = a * b;
-  const VecD err = ((ah * bh - p) + ah * bl + al * bh) + al * bl;
-  return {p, err};
-}
-
 /// Round to nearest integer (ties to even) as a double, via the classic
 /// 1.5*2^52 magic-number trick. Valid for |x| < 2^51.
 inline VecD vnearbyint(VecD x) {
@@ -133,19 +95,10 @@ inline VecD vfrom_int(VecI i) {
   return from_bits(iadd(i, iset1(0x4338000000000000ULL))) - magic;
 }
 
-namespace detail {
-
-/// Shared fdlibm argument reduction x = 2^k * m, m in [sqrt(2)/2, sqrt(2)),
-/// plus the polynomial pieces of log(m) = f - hfsq + s*(hfsq+R) where
-/// f = m-1 and s = f/(2+f). Assumes x > 0 (callers blend the rest).
-struct LogReduction {
-  VecD dk;    // k as a double (includes the subnormal rescale bias)
-  VecD f;     // m - 1
-  VecD hfsq;  // 0.5*f*f
-  VecD s_r;   // s*(hfsq + R)
-};
-
-inline LogReduction log_reduce(VecD x) {
+/// Natural logarithm; fdlibm e_log.c algorithm: x = 2^k * m with m in
+/// [sqrt(2)/2, sqrt(2)), then log(m) = f - hfsq + s*(hfsq+R) where f = m-1
+/// and s = f/(2+f).
+inline VecD log(VecD x) {
   // Subnormal inputs: scale by 2^54 so the exponent field is usable.
   const VecD mask_sub =
       vand(vlt(x, vset1(0x1p-1022)), vgt(x, vset1(0.0)));
@@ -162,6 +115,7 @@ inline LogReduction log_reduce(VecD x) {
                         iset1(0x0010000000000000ULL));
   const VecI mbits = ior(man, ixor(i52, iset1(0x3ff0000000000000ULL)));
   const VecD m = from_bits(mbits);
+  // k as a double (includes the subnormal rescale bias).
   const VecD dk = vfrom_int(iadd(e, ishr<52>(i52))) + kbias;
 
   const VecD f = m - vset1(1.0);
@@ -174,28 +128,8 @@ inline LogReduction log_reduce(VecD x) {
       z * (vset1(kLg1) +
            w * (vset1(kLg3) + w * (vset1(kLg5) + w * vset1(kLg7))));
   const VecD hfsq = vset1(0.5) * (f * f);
-  return {dk, f, hfsq, s * (hfsq + (t1 + t2))};
-}
-
-/// log(x) as an unevaluated hi+lo pair, for pow's extended-precision
-/// product. Only meaningful on lanes with finite x > 0; other lanes hold
-/// garbage the caller must blend away.
-inline VecDD log_ext(VecD x) {
-  const LogReduction red = log_reduce(x);
-  const VecDD h = two_sum(red.dk * vset1(kLn2Hi), red.f);
-  const VecD t =
-      ((red.s_r - red.hfsq) + red.dk * vset1(kLn2Lo)) + h.lo;
-  const VecD hi = h.hi + t;
-  return {hi, (h.hi - hi) + t};
-}
-
-}  // namespace detail
-
-/// Natural logarithm; fdlibm e_log.c algorithm.
-inline VecD log(VecD x) {
-  const detail::LogReduction red = detail::log_reduce(x);
-  VecD r = red.dk * vset1(kLn2Hi) -
-           ((red.hfsq - (red.s_r + red.dk * vset1(kLn2Lo))) - red.f);
+  const VecD s_r = s * (hfsq + (t1 + t2));
+  VecD r = dk * vset1(kLn2Hi) - ((hfsq - (s_r + dk * vset1(kLn2Lo))) - f);
   // x == 0 -> -inf, x < 0 -> NaN, +inf -> +inf, NaN -> NaN.
   r = vselect(vle(x, vset1(0.0)),
               vselect(veq(x, vset1(0.0)), vset1(-kInf), vset1(kQuietNan)),
@@ -242,53 +176,6 @@ inline VecD exp(VecD x) {
   y = vselect(vle(x, lo_cut), vset1(0.0), y);
   y = vselect(vneq(x, x), x, y);
   return y;
-}
-
-/// log(1+x) via the classic correction log(u) + (x - (u-1))/u with
-/// u = 1+x: exact for |x| < 2^-53 and within kLog1pUlpBudget elsewhere.
-inline VecD log1p(VecD x) {
-  const VecD u = vset1(1.0) + x;
-  const VecD lg = log(u);
-  const VecD corr = (x - (u - vset1(1.0))) / u;
-  VecD r = lg + corr;
-  r = vselect(veq(u, vset1(0.0)), vset1(-kInf), r);  // x == -1
-  r = vselect(vge(x, vset1(kInf)), vset1(kInf), r);  // corr is NaN at +inf
-  return r;  // x < -1 and NaN both fall out of log(u) as NaN
-}
-
-/// x^y for x >= 0: exp(y*log(x)) evaluated with an extended-precision log
-/// and a Dekker product, so the error stays within kPowUlpBudget for
-/// |y*log(x)| up to the exp overflow threshold; larger products (including
-/// y == +/-inf) saturate exactly to inf / 0. x < 0 yields NaN (the
-/// detection models never raise a negative base).
-inline VecD pow(VecD x, VecD y) {
-  const VecDD lx = detail::log_ext(x);
-  const VecDD p = two_prod(y, lx.hi);
-  const VecD pl = p.lo + y * lx.lo;
-  const VecDD r = two_sum(p.hi, pl);
-  VecD res = exp(r.hi) * (vset1(1.0) + r.lo);
-
-  // Saturation guard: once y*log(x) leaves exp's finite range the result
-  // is exactly inf or 0, and the Dekker splitting above may have
-  // overflowed to NaN on the way (|y| beyond ~2^1000 — overflowing
-  // Weibull day-power differences land here). The plain product never
-  // spuriously saturates: for finite x != 1, |log(x)| >= 2^-53, so a
-  // saturating product needs |y*log(x)| >= 710 for real.
-  const VecD p0 = y * lx.hi;
-  res = vselect(vge(p0, vset1(710.0)), vset1(kInf), res);
-  res = vselect(vle(p0, vset1(-746.0)), vset1(0.0), res);
-
-  // IEC 60559 corners, most-specific last so each later blend wins.
-  const VecD y_pos = vgt(y, vset1(0.0));
-  res = vselect(veq(x, vset1(0.0)),
-                vselect(y_pos, vset1(0.0), vset1(kInf)), res);
-  res = vselect(veq(x, vset1(kInf)),
-                vselect(y_pos, vset1(kInf), vset1(0.0)), res);
-  res = vselect(vlt(x, vset1(0.0)), vset1(kQuietNan), res);
-  res = vselect(vor(vneq(x, x), vneq(y, y)), vset1(kQuietNan), res);
-  res = vselect(veq(x, vset1(1.0)), vset1(1.0), res);  // 1^y == 1, any y
-  res = vselect(veq(y, vset1(0.0)), vset1(1.0), res);  // x^0 == 1, any x
-  return res;
 }
 
 SRM_SIMD_NS_END

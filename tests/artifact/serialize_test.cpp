@@ -185,7 +185,6 @@ TEST(ArtifactSerialize, GibbsOptionsRoundTripIncludingFullRangeSeed) {
   gibbs.thin = 5;
   gibbs.parallel_chains = false;
   gibbs.keep_traces = true;
-  gibbs.vectorized = true;
   for (const auto seed :
        {std::uint64_t{0}, std::uint64_t{20240624},
         std::numeric_limits<std::uint64_t>::max()}) {
@@ -199,26 +198,7 @@ TEST(ArtifactSerialize, GibbsOptionsRoundTripIncludingFullRangeSeed) {
     EXPECT_EQ(back.seed, seed);
     EXPECT_EQ(back.parallel_chains, gibbs.parallel_chains);
     EXPECT_EQ(back.keep_traces, gibbs.keep_traces);
-    EXPECT_EQ(back.vectorized, gibbs.vectorized);
   }
-}
-
-TEST(ArtifactSerialize, GibbsVectorizedIsOmitIfFalse) {
-  // Scalar options serialize byte-identically to the pre-flag format, so
-  // existing artifacts parse unchanged (the key simply isn't there) and
-  // their hashes never move.
-  mcmc::GibbsOptions scalar;
-  const Json scalar_json = artifact::to_json(scalar);
-  EXPECT_EQ(scalar_json.find("vectorized"), nullptr);
-  const auto legacy = artifact::gibbs_options_from_json(
-      Json::parse(scalar_json.dump()));
-  EXPECT_FALSE(legacy.vectorized);
-
-  mcmc::GibbsOptions vectorized;
-  vectorized.vectorized = true;
-  const Json vec_json = artifact::to_json(vectorized);
-  ASSERT_NE(vec_json.find("vectorized"), nullptr);
-  EXPECT_TRUE(vec_json.find("vectorized")->as_bool());
 }
 
 TEST(ArtifactSerialize, RetiredChainLanesKeyIsRejected) {

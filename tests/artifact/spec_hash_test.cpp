@@ -101,10 +101,6 @@ TEST(SpecHash, ResultDeterminingFieldsAreCovered) {
   EXPECT_NE(artifact::cell_hash(toy(), changed, 5), reference);
 
   changed = spec;
-  changed.gibbs.vectorized = true;
-  EXPECT_NE(artifact::cell_hash(toy(), changed, 5), reference);
-
-  changed = spec;
   changed.eventual_total += 1;
   EXPECT_NE(artifact::cell_hash(toy(), changed, 5), reference);
 
@@ -112,16 +108,6 @@ TEST(SpecHash, ResultDeterminingFieldsAreCovered) {
 
   const data::BugCountData other("toy", {1, 0, 2, 1, 3, 0, 1, 2, 0, 2});
   EXPECT_NE(artifact::cell_hash(other, spec, 5), reference);
-}
-
-TEST(SpecHash, VectorizedFalseKeepsTheLegacyIdentity) {
-  // Omit-if-false: a scalar spec hashes byte-identically to the pre-flag
-  // canonical form (the pinned golden above proves the absolute value),
-  // so every artifact directory written before the SIMD layer stays
-  // reachable. Only vectorized=true forks the cell.
-  auto spec = base_spec();
-  spec.gibbs.vectorized = false;
-  EXPECT_EQ(artifact::cell_hash(toy(), spec, 5), "04012f2585e2ffd9");
 }
 
 TEST(SpecHash, DatasetNameDoesNotAffectIdentity) {

@@ -223,6 +223,29 @@ TEST(ArtifactStore, RejectsResumeWithDifferentConfiguration) {
   fs::remove_all(dir);
 }
 
+TEST(ArtifactStore, RejectsResumeOfAnOlderSchemaDirectory) {
+  // Schema-1 directories may hold model2/3/4 cells from the retired libm
+  // likelihood path under the same spec hashes; resuming one is refused
+  // with a plain message instead of mixing the two paths.
+  const auto dir = scratch("old_schema");
+  const auto data = toy();
+  const auto options = toy_options();
+  { artifact::ArtifactStore store(dir, data, options, false); }
+  Json manifest = Json::parse(slurp(dir / "manifest.json"));
+  manifest.set("schema_version", std::int64_t{1});
+  artifact::write_file_atomic(dir / "manifest.json", manifest.dump(2));
+  try {
+    artifact::ArtifactStore resumed(dir, data, options, true);
+    ADD_FAILURE() << "a schema-1 directory was resumed";
+  } catch (const srm::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "has schema version 1, this build expects 2"),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
+}
+
 TEST(ArtifactStore, LoadSweepWithoutFinalizeThrows) {
   const auto dir = scratch("unfinalized");
   const auto data = toy();

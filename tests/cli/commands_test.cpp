@@ -275,11 +275,32 @@ TEST(CliUserErrors, FitDaysOutsideTheSeries) {
 
 TEST(CliUserErrors, ZeroObservationDay) {
   expect_plain_user_error("sweep", {"--csv", "sys1", "--obs-days", "48,0"},
-                          "--obs-days entries must be positive");
+                          "day must be >= 1");
   // --days 0 keeps the whole series; a negative day is an error, not a
   // silent "all days".
   expect_plain_user_error("fit", {"--csv", "sys1", "--days", "-4"},
                           "flag --days expects a non-negative integer, got -4");
+}
+
+TEST(CliUserErrors, EventualTotalBelowTheSeriesOrOverTheLimit) {
+  // SYS1 records 136 bugs, so an eventual total below that would report a
+  // negative actual residual; the sweep refuses it before any cell runs
+  // and before --out creates a directory.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "srm_cli_total_sweep";
+  std::filesystem::remove_all(dir);
+  const std::string below = "total must be >= the 136 bugs the series records";
+  expect_plain_user_error(
+      "sweep",
+      {"--csv", "sys1", "--obs-days", "48", "--total", "-5", "--out",
+       dir.string()},
+      below);
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  expect_plain_user_error(
+      "sweep", {"--csv", "sys1", "--obs-days", "48", "--total", "135"}, below);
+  expect_plain_user_error(
+      "sweep", {"--csv", "sys1", "--obs-days", "48", "--total", "1000000001"},
+      "total must be <= 1000000000");
 }
 
 TEST(CliUserErrors, ResumeOrBudgetWithoutOut) {

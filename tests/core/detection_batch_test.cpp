@@ -145,10 +145,10 @@ INSTANTIATE_TEST_SUITE_P(
 // --- pinned channel digests ---------------------------------------------
 //
 // FNV-1a digests of every value each public channel writes over the probe
-// grid at kDays days, for every kind built both scalar and vectorized.
-// The bitwise tests above compare channels with each other; these compare
-// each channel with its own recorded bits, so they still catch a formula
-// change that moves every channel alike.
+// grid at kDays days, for every kind. The bitwise tests above compare
+// channels with each other; these compare each channel with its own
+// recorded bits, so they still catch a formula change that moves every
+// channel alike.
 
 std::uint64_t fnv1a_append(std::uint64_t hash, double value) {
   const std::uint64_t b = bits(value);
@@ -196,90 +196,43 @@ ChannelDigests channel_digests(const srm::core::DetectionModel& model) {
 
 struct PinnedChannels {
   DetectionModelKind kind;
-  bool vectorized;
   ChannelDigests expected;
 };
 
 // Recorded while each channel still had its own copy of the formula. The
-// scalar-only kinds ignore `vectorized`, so both of their rows agree.
+// model2/3/4 rows are the batch-channel digests recorded for the lane
+// kernels when they were introduced; the single-day channels hash the same
+// values in the same order, so their digests equal the batch ones.
 const PinnedChannels kPinnedChannels[] = {
     {DetectionModelKind::kConstant,
-     false,
-     {0xa344e1f65a7f683dULL, 0xf2fd69c97c8f5029ULL,
-      0xa344e1f65a7f683dULL, 0xf2fd69c97c8f5029ULL,
-      0x4cad7b4013561761ULL}},
-    {DetectionModelKind::kConstant,
-     true,
      {0xa344e1f65a7f683dULL, 0xf2fd69c97c8f5029ULL,
       0xa344e1f65a7f683dULL, 0xf2fd69c97c8f5029ULL,
       0x4cad7b4013561761ULL}},
     {DetectionModelKind::kPadgettSpurrier,
-     false,
-     {0x13d27923e8f1ffdaULL, 0x56ced3a498ae29deULL,
-      0x13d27923e8f1ffdaULL, 0x56ced3a498ae29deULL,
-      0x8cfc8d2addd650a9ULL}},
-    {DetectionModelKind::kPadgettSpurrier,
-     true,
      {0x13d27923e8f1ffdaULL, 0x56ced3a498ae29deULL,
       0x13d27923e8f1ffdaULL, 0x56ced3a498ae29deULL,
       0x8cfc8d2addd650a9ULL}},
     {DetectionModelKind::kLogLogistic,
-     false,
-     {0x32f1c42a1669f9e2ULL, 0x57d230c988696e73ULL,
-      0x32f1c42a1669f9e2ULL, 0x57d230c988696e73ULL,
-      0xfb494c45331b0a68ULL}},
-    {DetectionModelKind::kLogLogistic,
-     true,
-     {0x32f1c42a1669f9e2ULL, 0x57d230c988696e73ULL,
+     {0x24bd2aad6c699bddULL, 0x25577fbd412bfe1aULL,
       0x24bd2aad6c699bddULL, 0x25577fbd412bfe1aULL,
       0x75a041085c18f9eaULL}},
     {DetectionModelKind::kPareto,
-     false,
-     {0xf4f10f390b06d46fULL, 0xc8de0e785fda017aULL,
-      0xf4f10f390b06d46fULL, 0xc8de0e785fda017aULL,
-      0xf7c145e3dfae5bd4ULL}},
-    {DetectionModelKind::kPareto,
-     true,
-     {0xf4f10f390b06d46fULL, 0xc8de0e785fda017aULL,
+     {0x9c1dd5af5e90f5c6ULL, 0xc8de0e785fda017aULL,
       0x9c1dd5af5e90f5c6ULL, 0xc8de0e785fda017aULL,
       0xd21f944b8679474dULL}},
     {DetectionModelKind::kWeibull,
-     false,
-     {0xce34b5e670a0d69cULL, 0x6c7f4e66fb71c28aULL,
-      0xce34b5e670a0d69cULL, 0x6c7f4e66fb71c28aULL,
-      0xb49e3d8acf365113ULL}},
-    {DetectionModelKind::kWeibull,
-     true,
-     {0xce34b5e670a0d69cULL, 0x6c7f4e66fb71c28aULL,
+     {0x7b08791330af6105ULL, 0xcdfcec570ff60feaULL,
       0x7b08791330af6105ULL, 0xcdfcec570ff60feaULL,
       0x3bb8687caa46a6aaULL}},
     {DetectionModelKind::kRayleigh,
-     false,
-     {0x6ee3399839102b19ULL, 0xd0d104c8106ef901ULL,
-      0x6ee3399839102b19ULL, 0xd0d104c8106ef901ULL,
-      0xf7bb80f0507ca699ULL}},
-    {DetectionModelKind::kRayleigh,
-     true,
      {0x6ee3399839102b19ULL, 0xd0d104c8106ef901ULL,
       0x6ee3399839102b19ULL, 0xd0d104c8106ef901ULL,
       0xf7bb80f0507ca699ULL}},
     {DetectionModelKind::kLearningCurve,
-     false,
-     {0xfbae82f1fa348838ULL, 0xfb4512a592d7ec5aULL,
-      0xfbae82f1fa348838ULL, 0xfb4512a592d7ec5aULL,
-      0x1ec98f28362eed37ULL}},
-    {DetectionModelKind::kLearningCurve,
-     true,
      {0xfbae82f1fa348838ULL, 0xfb4512a592d7ec5aULL,
       0xfbae82f1fa348838ULL, 0xfb4512a592d7ec5aULL,
       0x1ec98f28362eed37ULL}},
     {DetectionModelKind::kSizeBiasedMultinomial,
-     false,
-     {0xcbfb7efd6955cbd7ULL, 0xbfbad2328a8974faULL,
-      0xcbfb7efd6955cbd7ULL, 0xbfbad2328a8974faULL,
-      0x191d80513ad7a9cULL}},
-    {DetectionModelKind::kSizeBiasedMultinomial,
-     true,
      {0xcbfb7efd6955cbd7ULL, 0xbfbad2328a8974faULL,
       0xcbfb7efd6955cbd7ULL, 0xbfbad2328a8974faULL,
       0x191d80513ad7a9cULL}},
@@ -290,7 +243,7 @@ class DetectionChannelDigest
 
 TEST_P(DetectionChannelDigest, MatchesPinnedDigest) {
   const auto& pin = GetParam();
-  const auto model = make_detection_model(pin.kind, pin.vectorized);
+  const auto model = make_detection_model(pin.kind);
   const auto got = channel_digests(*model);
   EXPECT_EQ(got.probability, pin.expected.probability)
       << std::hex << "probability 0x" << got.probability;
@@ -307,8 +260,7 @@ TEST_P(DetectionChannelDigest, MatchesPinnedDigest) {
 INSTANTIATE_TEST_SUITE_P(
     AllModels, DetectionChannelDigest, ::testing::ValuesIn(kPinnedChannels),
     [](const ::testing::TestParamInfo<PinnedChannels>& param_info) {
-      return srm::core::to_string(param_info.param.kind) +
-             (param_info.param.vectorized ? "_vectorized" : "_scalar");
+      return srm::core::to_string(param_info.param.kind);
     });
 
 }  // namespace

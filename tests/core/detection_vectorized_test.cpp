@@ -1,8 +1,8 @@
-// Tests for the vectorized detection-model fork (`make_detection_model`
-// with vectorized=true) and the raw simd_kernels channels: the flagged
-// path must agree with the scalar channel to within the documented ULP
-// budgets of the vectorized transcendentals, and must reproduce the
-// scalar channel's overflow semantics (model2's q -> 1 guard).
+// Tests for the lane kernels that are the formulas of model2/3/4
+// (core/detection_simd.hpp): every channel must agree with a libm closed
+// form of Eqs 5-7, written out below as the reference, to within the
+// documented ULP budgets of the vectorized transcendentals, and must keep
+// the closed form's overflow semantics (model2's q -> 1 guard).
 #include <cmath>
 #include <limits>
 #include <span>
@@ -22,16 +22,38 @@ using srm::core::make_detection_model;
 
 constexpr std::size_t kDays = 150;
 
+struct ClosedForm {
+  double probability;
+  double log_survival;
+};
+
+/// Eqs 5-7 with libm pow/log, one day at a time.
+ClosedForm closed_form(DetectionModelKind kind, std::size_t day,
+                       const std::vector<double>& zeta) {
+  const double mu = zeta[0];
+  const double d = static_cast<double>(day);
+  if (kind == DetectionModelKind::kLogLogistic) {
+    const double t = std::pow(mu, std::log(d) - zeta[1] + 1.0);
+    return {(1.0 - mu) / (t + 1.0),
+            !std::isfinite(t) ? 0.0 : std::log(t + mu) - std::log1p(t)};
+  }
+  const double exponent =
+      kind == DetectionModelKind::kPareto
+          ? std::log(d + 2.0) / (d + 1.0)
+          : std::pow(d, zeta[1]) - std::pow(d - 1.0, zeta[1]);
+  return {1.0 - std::pow(mu, exponent), exponent * std::log(mu)};
+}
+
 /// Mixed absolute/relative closeness: the vectorized transcendentals are
 /// within tens of ULPs of libm, so channel values agree to ~1e-12
 /// relative with a small absolute floor for near-cancelled results.
-void expect_close(double scalar, double vectorized, const char* what,
+void expect_close(double reference, double lanes, const char* what,
                   std::size_t day) {
-  if (std::isinf(scalar) || std::isinf(vectorized)) {
-    ASSERT_EQ(scalar, vectorized) << what << " day " << day;
+  if (std::isinf(reference) || std::isinf(lanes)) {
+    ASSERT_EQ(reference, lanes) << what << " day " << day;
     return;
   }
-  ASSERT_NEAR(scalar, vectorized, 1e-12 + 1e-10 * std::abs(scalar))
+  ASSERT_NEAR(reference, lanes, 1e-12 + 1e-10 * std::abs(reference))
       << what << " day " << day;
 }
 
@@ -39,28 +61,19 @@ class VectorizedDetection
     : public ::testing::TestWithParam<DetectionModelKind> {};
 
 TEST_P(VectorizedDetection, ChannelsTrackScalarWithinBudget) {
-  const auto scalar = make_detection_model(GetParam());
-  const auto vectorized = make_detection_model(GetParam(), true);
-  const auto supports = scalar->parameter_supports(DetectionModelLimits{});
+  const auto model = make_detection_model(GetParam());
+  const auto supports = model->parameter_supports(DetectionModelLimits{});
   const double fractions[] = {1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9};
 
   std::vector<double> zeta(supports.size());
-  std::vector<double> sp(kDays), vp(kDays), sq(kDays), vq(kDays);
+  std::vector<double> p(kDays), q(kDays);
   const auto probe = [&](const std::vector<double>& z) {
-    scalar->probabilities_into(kDays, z, sp);
-    vectorized->probabilities_into(kDays, z, vp);
-    scalar->log_survivals_into(kDays, z, sq);
-    vectorized->log_survivals_into(kDays, z, vq);
+    model->probabilities_into(kDays, z, p);
+    model->log_survivals_into(kDays, z, q);
     for (std::size_t day = 1; day <= kDays; ++day) {
-      expect_close(sp[day - 1], vp[day - 1], "probability", day);
-      expect_close(sq[day - 1], vq[day - 1], "log_survival", day);
-    }
-    // The fused channel must match the single channels.
-    std::vector<double> fp(kDays), fq(kDays);
-    vectorized->detection_into(kDays, z, fp, fq);
-    for (std::size_t day = 1; day <= kDays; ++day) {
-      ASSERT_EQ(fp[day - 1], vp[day - 1]) << "fused p day " << day;
-      ASSERT_EQ(fq[day - 1], vq[day - 1]) << "fused q day " << day;
+      const auto reference = closed_form(GetParam(), day, z);
+      expect_close(reference.probability, p[day - 1], "probability", day);
+      expect_close(reference.log_survival, q[day - 1], "log_survival", day);
     }
   };
 
@@ -89,14 +102,32 @@ INSTANTIATE_TEST_SUITE_P(HeterogeneousModels, VectorizedDetection,
 
 TEST(VectorizedDetection, Model2OverflowYieldsZeroLogSurvival) {
   // mu -> 0 with gamma far above 1 + log(day) makes the exponent deeply
-  // negative, so t = mu^e overflows; the scalar channel pins log q to 0
-  // there and the SIMD kernel must too.
+  // negative, so t = mu^e overflows; log q is pinned to its q -> 1 limit.
   const auto& log_day = srm::core::day_tables(kDays).log_day;
   std::vector<double> lq(kDays);
-  srm::core::simd_kernels::loglogistic_detection(
-      kDays, 1e-300, 400.0, log_day, {}, lq);
+  srm::core::simd_kernels::loglogistic_detection(1, kDays, 1e-300, 400.0,
+                                                 log_day, {}, lq);
   for (std::size_t day = 1; day <= kDays; ++day) {
     ASSERT_EQ(lq[day - 1], 0.0) << "day " << day;
+  }
+}
+
+TEST(VectorizedDetection, Model2LogSurvivalNeverRoundsAboveZero) {
+  // q = (t + mu) / (t + 1) < 1 for mu < 1. The closed form
+  // log(t + mu) - log1p(t) cancels when t is large and can round above 0,
+  // which made prod q exceed 1 and aborted the residual update (a
+  // simulation-based calibration replication hit it with mu ~ 0.017,
+  // gamma ~ 6.6). The kernel's log1p(s) branch keeps every value <= 0.
+  const auto model = make_detection_model(DetectionModelKind::kLogLogistic);
+  std::vector<double> lq(kDays);
+  for (double mu = 1e-6; mu < 1.0; mu *= 1.7) {
+    for (double gamma = -10.0; gamma <= 10.0; gamma += 0.37) {
+      model->log_survivals_into(kDays, std::vector<double>{mu, gamma}, lq);
+      for (std::size_t day = 1; day <= kDays; ++day) {
+        ASSERT_LE(lq[day - 1], 0.0)
+            << "mu " << mu << " gamma " << gamma << " day " << day;
+      }
+    }
   }
 }
 
@@ -104,7 +135,7 @@ TEST(VectorizedDetection, EmptySpanSkipsChannel) {
   const auto& tables = srm::core::day_tables(kDays);
   std::vector<double> p(kDays, -1.0);
   // Empty log-survival span: only probabilities are written.
-  srm::core::simd_kernels::pareto_detection(kDays, 0.5,
+  srm::core::simd_kernels::pareto_detection(1, kDays, 0.5,
                                             tables.pareto_exponent, p, {});
   for (std::size_t day = 1; day <= kDays; ++day) {
     ASSERT_GE(p[day - 1], 0.0) << "day " << day;
@@ -112,38 +143,10 @@ TEST(VectorizedDetection, EmptySpanSkipsChannel) {
   }
   // Empty probability span: only log-survivals are written.
   std::vector<double> lq(kDays, 1.0);
-  srm::core::simd_kernels::weibull_detection(kDays, 0.5, 1.5,
+  srm::core::simd_kernels::weibull_detection(1, kDays, 0.5, 1.5,
                                              tables.log_day, {}, lq);
   for (std::size_t day = 1; day <= kDays; ++day) {
     ASSERT_LE(lq[day - 1], 0.0) << "day " << day;
-  }
-}
-
-TEST(VectorizedDetection, PointwiseSweepsMatchScalarTranscendentals) {
-  std::vector<double> p(37);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    p[i] = static_cast<double>(i + 1) / static_cast<double>(p.size() + 1);
-  }
-  std::vector<double> lp(p.size()), l1mp(p.size());
-  srm::core::simd_kernels::log_into(p, lp);
-  srm::core::simd_kernels::log1p_neg_into(p, l1mp);
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    ASSERT_NEAR(lp[i], std::log(p[i]), 1e-13) << "i=" << i;
-    ASSERT_NEAR(l1mp[i], std::log1p(-p[i]), 1e-13) << "i=" << i;
-  }
-}
-
-TEST(VectorizedDetection, ScalarFactoryDefaultIsUnchanged) {
-  // make_detection_model's default must stay the scalar channel: the
-  // vectorized fork is opt-in per call site (GibbsOptions::vectorized).
-  const auto a = make_detection_model(DetectionModelKind::kLogLogistic);
-  const auto b = make_detection_model(DetectionModelKind::kLogLogistic, false);
-  std::vector<double> pa(kDays), pb(kDays);
-  const std::vector<double> zeta = {0.37, 0.8};
-  a->probabilities_into(kDays, zeta, pa);
-  b->probabilities_into(kDays, zeta, pb);
-  for (std::size_t day = 1; day <= kDays; ++day) {
-    ASSERT_EQ(pa[day - 1], pb[day - 1]) << "day " << day;
   }
 }
 

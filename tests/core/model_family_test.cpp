@@ -105,21 +105,6 @@ TEST(ModelFamilyRegistry, ValidateFamilyModelRejectsForeignDetectionKinds) {
       srm::InvalidArgument);
 }
 
-TEST(ModelFamilyRegistry, ValidateFamilyGibbsRejectsUnsupportedForks) {
-  const core::HyperPriorConfig config;
-  srm::mcmc::GibbsOptions gibbs;
-  EXPECT_NO_THROW(
-      core::validate_family_gibbs(PriorKind::kSizeBiased, config, gibbs));
-
-  auto vectorized = gibbs;
-  vectorized.vectorized = true;
-  EXPECT_NO_THROW(
-      core::validate_family_gibbs(PriorKind::kPoisson, config, vectorized));
-  EXPECT_THROW(
-      core::validate_family_gibbs(PriorKind::kSizeBiased, config, vectorized),
-      srm::InvalidArgument);
-}
-
 TEST(ModelFamilyRegistry, ValidateFamilyGibbsRejectsUnrunnableSettings) {
   // Plain messages (no contract report), for every family.
   const auto message = [](PriorKind prior, const core::HyperPriorConfig& config,

@@ -6,7 +6,9 @@
 // sampled value. These tests pin a fixed-seed short run for every
 // scheme x prior x model configuration to an FNV-1a digest of the raw
 // IEEE-754 bit patterns, captured from the pre-refactor per-day scalar
-// implementation. Any reassociation of the floating-point evaluation order
+// implementation (model2/3/4: from the lane kernels of
+// core/detection_simd.hpp when they were introduced, the same on every
+// lane backend). Any reassociation of the floating-point evaluation order
 // anywhere in the sampler hot path fails here with probability ~1.
 #include <bit>
 #include <cstdint>
@@ -66,13 +68,17 @@ struct GoldenCase {
 };
 
 // Captured from the pre-workspace implementation (commit 72dd8dc) with the
-// exact options above; see the measurement notes in EXPERIMENTS.md.
+// exact options above; see the measurement notes in EXPERIMENTS.md. The
+// model2/3/4 rows were captured with the same options when the lane
+// kernels landed; ten of those twelve coincide with the earlier libm
+// formula's digests, because a slice-sampler draw only moves when a
+// few-ULP likelihood difference flips an accept/shrink comparison.
 constexpr GoldenCase kGoldenCases[] = {
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 0, 0x291736a24699108dULL},
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 1, 0xfa1a9101bd570275ULL},
-    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 2, 0x651c74f9a4b3044dULL},
+    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 2, 0xabe4507312dc017aULL},
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 3, 0xc8710c092693ba65ULL},
-    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 4, 0x2778b09a3b21c60aULL},
+    {SamplerScheme::kCollapsed, PriorKind::kPoisson, 4, 0x94f14f3f8e7ae94bULL},
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 5, 0xd323780d1d330734ULL},
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 6, 0x0b8f18a2836f7736ULL},
     {SamplerScheme::kCollapsed, PriorKind::kNegativeBinomial, 0,

@@ -1,23 +1,18 @@
-// Golden-trace pinning for the `vectorized` sampler fork.
+// Golden-trace pinning for the SIMD lane kernels of model2/3/4 on a serial
+// chain schedule.
 //
-// The vectorized detection kernels (support/simd) are not bit-identical to
-// libm, so `GibbsOptions::vectorized` deliberately forks result identity:
-// the flagged path gets its own golden digests here, captured on the lane
-// layer's exact-op contract (the digests are backend-independent — scalar,
-// SSE2, AVX2 and NEON lanes all produce the same bits; see
-// support/simd/lanes.hpp). The scalar path's digests live in
-// golden_trace_test.cpp and must never move.
-//
-// Several vectorized digests happen to COINCIDE with their scalar golden:
-// slice-sampler draws are rng-driven and only move when a likelihood
-// comparison flips, and in these short runs the few-ULP channel
-// differences never crossed a decision boundary for those cases. The
-// pinned values record that coincidence; they are still the vectorized
-// path's own contract.
+// The lane kernels (core/detection_simd.hpp over support/simd) are the only
+// formula of the heterogeneous detection models, and their digests are
+// backend-independent: scalar, SSE2, AVX2 and NEON lanes all produce the
+// same bits (see support/simd/lanes.hpp). golden_trace_test.cpp pins those
+// digests with the chains scheduled on the runtime pool; here the same
+// configurations run with `parallel_chains = false`, every chain on the
+// calling thread one after the other, and must reproduce the same pinned
+// digests. A kernel that kept state per thread, or a workspace shared
+// between chains, would make the two schedules disagree.
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <vector>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -41,23 +36,22 @@ std::uint64_t fnv1a_append(std::uint64_t hash, std::uint64_t bits) {
   return hash;
 }
 
-srm::mcmc::McmcRun golden_run(SamplerScheme scheme, PriorKind prior,
-                               int model_id, bool vectorized) {
+/// Digest of every retained draw in (chain, parameter, sample) order, with
+/// the chains run serially on the calling thread.
+std::uint64_t serial_trace_digest(SamplerScheme scheme, PriorKind prior,
+                                  int model_id) {
   const auto data = srm::data::sys1_grouped().truncated(67);
   HyperPriorConfig config;
   config.scheme = scheme;
   const BayesianSrm model(prior, static_cast<DetectionModelKind>(model_id),
-                          data, config, vectorized);
+                          data, config);
   srm::mcmc::GibbsOptions options;
   options.chain_count = 2;
   options.burn_in = 50;
   options.iterations = 120;
   options.seed = 20240624;
-  options.vectorized = vectorized;
-  return srm::mcmc::run_gibbs(model, options);
-}
-
-std::uint64_t digest_of(const srm::mcmc::McmcRun& run) {
+  options.parallel_chains = false;
+  const auto run = srm::mcmc::run_gibbs(model, options);
   std::uint64_t hash = 14695981039346656037ULL;
   for (std::size_t c = 0; c < run.chain_count(); ++c) {
     for (std::size_t p = 0; p < run.parameter_names().size(); ++p) {
@@ -77,7 +71,7 @@ struct VectorizedCase {
 };
 
 // Captured at the introduction of the SIMD layer with the exact options
-// above (same geometry as the scalar golden set).
+// above (same geometry as the golden set in golden_trace_test.cpp).
 constexpr VectorizedCase kVectorizedCases[] = {
     {SamplerScheme::kCollapsed, PriorKind::kPoisson, 2,
      0xabe4507312dc017aULL},
@@ -107,8 +101,7 @@ class VectorizedGoldenTrace
 
 TEST_P(VectorizedGoldenTrace, MatchesPinnedDigest) {
   const auto& c = GetParam();
-  EXPECT_EQ(digest_of(golden_run(c.scheme, c.prior, c.model_id, true)),
-            c.digest)
+  EXPECT_EQ(serial_trace_digest(c.scheme, c.prior, c.model_id), c.digest)
       << "scheme=" << (c.scheme == SamplerScheme::kVanilla ? 1 : 0)
       << " prior=" << (c.prior == PriorKind::kNegativeBinomial ? 1 : 0)
       << " model=" << c.model_id;
@@ -124,54 +117,5 @@ std::string case_name(const ::testing::TestParamInfo<VectorizedCase>& info) {
 
 INSTANTIATE_TEST_SUITE_P(HeterogeneousModels, VectorizedGoldenTrace,
                          ::testing::ValuesIn(kVectorizedCases), case_name);
-
-TEST(VectorizedGoldenTrace, HomogeneousModelsAreUnaffectedByTheFlag) {
-  // Models 0/1/5/6 have no pow/log-heavy kernels; the vectorized flag must
-  // be a bit-exact no-op for them (their channels never consult it).
-  for (const int model_id : {0, 1, 5, 6}) {
-    const auto scalar = golden_run(SamplerScheme::kCollapsed,
-                                   PriorKind::kPoisson, model_id, false);
-    const auto vectorized = golden_run(SamplerScheme::kCollapsed,
-                                       PriorKind::kPoisson, model_id, true);
-    EXPECT_EQ(digest_of(scalar), digest_of(vectorized))
-        << "model" << model_id;
-  }
-}
-
-TEST(VectorizedGoldenTrace, StatisticallyEquivalentToScalar) {
-  // The fork changes bits, not the posterior: for every heterogeneous
-  // model, each parameter's posterior mean from the vectorized run must
-  // sit well inside the scalar run's Monte Carlo spread.
-  for (const int model_id : {2, 3, 4}) {
-    const auto scalar = golden_run(SamplerScheme::kCollapsed,
-                                   PriorKind::kPoisson, model_id, false);
-    const auto vectorized = golden_run(SamplerScheme::kCollapsed,
-                                       PriorKind::kPoisson, model_id, true);
-    const std::size_t params = scalar.parameter_names().size();
-    for (std::size_t p = 0; p < params; ++p) {
-      std::vector<double> s_draws, v_draws;
-      for (std::size_t c = 0; c < scalar.chain_count(); ++c) {
-        const auto s_chain = scalar.chain(c).parameter(p);
-        const auto v_chain = vectorized.chain(c).parameter(p);
-        s_draws.insert(s_draws.end(), s_chain.begin(), s_chain.end());
-        v_draws.insert(v_draws.end(), v_chain.begin(), v_chain.end());
-      }
-      const auto mean = [](const std::vector<double>& xs) {
-        double sum = 0.0;
-        for (const double x : xs) sum += x;
-        return sum / static_cast<double>(xs.size());
-      };
-      const double s_mean = mean(s_draws);
-      const double v_mean = mean(v_draws);
-      double ss = 0.0;
-      for (const double x : s_draws) ss += (x - s_mean) * (x - s_mean);
-      const double sd =
-          std::sqrt(ss / static_cast<double>(s_draws.size() - 1));
-      EXPECT_LE(std::abs(v_mean - s_mean), 0.5 * sd + 1e-9)
-          << "model" << model_id << " parameter "
-          << scalar.parameter_names()[p];
-    }
-  }
-}
 
 }  // namespace

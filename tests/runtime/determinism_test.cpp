@@ -1,8 +1,7 @@
 // The runtime's core promise: the same master seed yields bit-identical
 // results no matter how many workers execute the schedule. This runs a
-// reduced paper sweep under 1-worker and 4-worker global pools, on the
-// scalar path and through the --vectorized SIMD kernels, and compares the
-// posteriors sample-by-sample.
+// reduced paper sweep under 1-worker and 4-worker global pools and
+// compares the posteriors sample-by-sample.
 #include <algorithm>
 #include <cstddef>
 #include <vector>
@@ -20,8 +19,7 @@ namespace core = srm::core;
 namespace report = srm::report;
 using srm::runtime::ThreadPool;
 
-report::SweepResult sweep_with_workers(std::size_t workers,
-                                       bool vectorized) {
+report::SweepResult sweep_with_workers(std::size_t workers) {
   ThreadPool::set_global_thread_count(workers);
   report::SweepOptions options;
   options.observation_days = {48, 96};
@@ -30,7 +28,6 @@ report::SweepResult sweep_with_workers(std::size_t workers,
   options.gibbs.burn_in = 50;
   options.gibbs.iterations = 150;
   options.gibbs.parallel_chains = true;
-  options.gibbs.vectorized = vectorized;
   return report::run_sweep(srm::data::sys1_grouped(), options);
 }
 
@@ -65,29 +62,13 @@ class RuntimeDeterminism : public ::testing::Test {
 };
 
 TEST_F(RuntimeDeterminism, SweepIsBitIdenticalAtOneAndFourWorkers) {
-  std::vector<report::SweepResult> serial_by_fork;
-  for (const bool vectorized : {false, true}) {
-    SCOPED_TRACE(vectorized ? "vectorized" : "scalar");
-    const auto serial = sweep_with_workers(1, vectorized);
-    const auto parallel = sweep_with_workers(4, vectorized);
+  const auto serial = sweep_with_workers(1);
+  const auto parallel = sweep_with_workers(4);
 
-    // The paper grid: 2 reproduction priors x 5 detection models.
-    ASSERT_EQ(serial.cells.size(), 10u);
-    ASSERT_EQ(parallel.cells.size(), 10u);
-    expect_bit_identical(serial, parallel);
-    serial_by_fork.push_back(serial);
-  }
-  // The flag reaches the cells: the SIMD kernels are not bit-exact to the
-  // scalar channels, so some model2-4 WAIC moves in its last bits.
-  bool forked = false;
-  for (std::size_t c = 0; c < 10; ++c) {
-    for (std::size_t d = 0; d < 2; ++d) {
-      forked = forked ||
-               serial_by_fork[0].cells[c].results[d].waic.waic !=
-                   serial_by_fork[1].cells[c].results[d].waic.waic;
-    }
-  }
-  EXPECT_TRUE(forked);
+  // The paper grid: 2 reproduction priors x 5 detection models.
+  ASSERT_EQ(serial.cells.size(), 10u);
+  ASSERT_EQ(parallel.cells.size(), 10u);
+  expect_bit_identical(serial, parallel);
 }
 
 TEST_F(RuntimeDeterminism, SimulatedReplicationsAreWorkerCountInvariant) {

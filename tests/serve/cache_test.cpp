@@ -95,6 +95,27 @@ TEST(PosteriorCache, MissWithoutDiskTierReturnsNothing) {
   EXPECT_FALSE(cache.lookup("aaaa").has_value());
 }
 
+TEST(PosteriorCache, CellFromAnOlderSchemaIsRefused) {
+  // A disk cell an older build wrote (schema 1: model2/3/4 draws from the
+  // retired libm likelihood path) is refused with a plain message, never
+  // served as if this build had computed it.
+  const auto dir = scratch("old_schema");
+  Json stale = envelope("aaaa", 7);
+  stale.set("schema_version", std::int64_t{1});
+  srm::artifact::CellStore(dir).save("aaaa", stale);
+  PosteriorCache cache(4, dir);
+  try {
+    (void)cache.lookup("aaaa");
+    ADD_FAILURE() << "a schema-1 cell was served";
+  } catch (const srm::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "has schema version 1, this build expects 2"),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
+}
+
 TEST(PosteriorCache, DiskTierRoundTripsBytes) {
   const auto dir = scratch("roundtrip");
   const Json original = envelope("aaaa", 7);

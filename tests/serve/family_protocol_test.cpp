@@ -66,16 +66,20 @@ TEST(ServeFamilyProtocol, ModelOutsideTheFamilyGridIsRejected) {
 }
 
 TEST(ServeFamilyProtocol, UnsupportedForksAreRejectedUpFront) {
-  // The size-biased sampler is scalar-only; a vectorized request must fail
-  // at parse time, never silently run un-forked under a forked spec hash.
-  EXPECT_THROW(serve::parse_request(parse(
-                   R"({"op":"fit","project":"sys1","prior":"sizebiased",)"
-                   R"("gibbs":{"vectorized":true}})")),
-               srm::InvalidArgument);
-  // The same fork stays legal for a family that implements it.
-  EXPECT_NO_THROW(serve::parse_request(parse(
-      R"({"op":"fit","project":"sys1","prior":"poisson",)"
-      R"("gibbs":{"vectorized":true}})")));
+  // The retired "vectorized" gibbs member (every family now runs the one
+  // likelihood path) fails at parse time with the unknown-member message,
+  // never silently ignored.
+  for (const char* prior : {"sizebiased", "poisson", "negbin"}) {
+    try {
+      (void)serve::parse_request(
+          parse(std::string(R"({"op":"fit","project":"sys1","prior":")") +
+                prior + R"(","gibbs":{"vectorized":true}})"));
+      ADD_FAILURE() << prior << ": the vectorized member was accepted";
+    } catch (const srm::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("vectorized"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

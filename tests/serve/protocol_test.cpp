@@ -236,6 +236,16 @@ TEST(ServeProtocol, UserErrorsCarryPlainMessages) {
        "project counts must total <= 1000000000 bugs"},
       {R"({"op":"fit","project":{"name":"x","counts":[1000000000,1]}})",
        "project counts must total <= 1000000000 bugs"},
+      // An eventual total below the bugs already recorded once answered a
+      // negative "actual_residual".
+      {R"({"op":"fit","project":"sys1","total":-5})",
+       "total must be >= the 136 bugs the series records"},
+      {R"({"op":"select","project":"sys1","total":135})",
+       "total must be >= the 136 bugs the series records"},
+      {R"({"op":"fit","project":{"name":"x","counts":[4,3]},"total":6})",
+       "total must be >= the 7 bugs the series records"},
+      {R"({"op":"fit","project":"sys1","total":1000000001})",
+       "total must be <= 1000000000"},
   };
   for (const auto& [request, message] : cases) {
     EXPECT_EQ(request_error(request), message) << request;
@@ -250,6 +260,10 @@ TEST(ServeProtocol, LimitsAdmitTheirExactBoundary) {
   EXPECT_EQ(request_error(R"({"op":"fit","project":{"name":"x",)"
                           R"("counts":[999999999,1]}})"),
             "");
+  EXPECT_EQ(request_error(R"({"op":"fit","project":"sys1","total":136})"), "");
+  EXPECT_EQ(
+      request_error(R"({"op":"fit","project":"sys1","total":1000000000})"),
+      "");
   // A 10000-day inline series is accepted; one day more is not.
   const auto series = [](std::size_t days) {
     std::string counts = "1";

@@ -39,21 +39,6 @@ double v_exp(double x) {
   return out[0];
 }
 
-double v_log1p(double x) {
-  double in[4] = {x, x, x, x};
-  double out[4];
-  lanes4([](simd::VecD v) { return simd::log1p(v); }, in, out);
-  return out[0];
-}
-
-double v_pow(double x, double y) {
-  double xs[4] = {x, x, x, x};
-  double ys[4] = {y, y, y, y};
-  double out[4];
-  simd::vstore(out, simd::pow(simd::vload(xs), simd::vload(ys)));
-  return out[0];
-}
-
 }  // namespace
 
 TEST(SimdLog, SpecialCases) {
@@ -90,44 +75,6 @@ TEST(SimdExp, NearOverflowStaysFinite) {
   const double x = 709.78;
   EXPECT_TRUE(std::isfinite(v_exp(x)));
   EXPECT_NEAR(v_exp(x) / std::exp(x), 1.0, 1e-13);
-}
-
-TEST(SimdLog1p, SpecialCases) {
-  EXPECT_EQ(v_log1p(0.0), 0.0);
-  EXPECT_EQ(v_log1p(-1.0), -kInf);
-  EXPECT_EQ(v_log1p(kInf), kInf);
-  EXPECT_TRUE(std::isnan(v_log1p(-1.5)));
-  EXPECT_TRUE(std::isnan(v_log1p(kNan)));
-}
-
-TEST(SimdLog1p, TinyArgumentsAreExact) {
-  // For |x| < 2^-53, 1+x rounds to 1 and the correction term returns x
-  // itself — bit-exact, which the pointwise scorer relies on for days
-  // with vanishing detection probability.
-  EXPECT_EQ(v_log1p(0x1p-60), 0x1p-60);
-  EXPECT_EQ(v_log1p(-0x1p-60), -0x1p-60);
-}
-
-TEST(SimdPow, Iec60559Corners) {
-  EXPECT_EQ(v_pow(0.0, 2.0), 0.0);
-  EXPECT_EQ(v_pow(0.0, -2.0), kInf);
-  EXPECT_EQ(v_pow(0.0, 0.0), 1.0);
-  EXPECT_EQ(v_pow(kInf, 2.0), kInf);
-  EXPECT_EQ(v_pow(kInf, -2.0), 0.0);
-  EXPECT_TRUE(std::isnan(v_pow(-2.0, 0.5)));
-  // IEC 60559: 1^y and x^0 are 1 even for NaN partners.
-  EXPECT_EQ(v_pow(1.0, kNan), 1.0);
-  EXPECT_EQ(v_pow(kNan, 0.0), 1.0);
-  EXPECT_TRUE(std::isnan(v_pow(kNan, 2.0)));
-  EXPECT_TRUE(std::isnan(v_pow(2.0, kNan)));
-}
-
-TEST(SimdPow, DetectionShapedValues) {
-  // mu^e for mu in (0,1) — the shape every detection model raises.
-  EXPECT_NEAR(v_pow(0.5, 3.0), 0.125, 1e-15);
-  EXPECT_NEAR(v_pow(0.9, 100.0) / std::pow(0.9, 100.0), 1.0, 1e-13);
-  // Underflow to zero for overflowing Weibull exponents.
-  EXPECT_EQ(v_pow(0.5, 1e6), 0.0);
 }
 
 TEST(SimdMath, LanesAreIndependent) {

@@ -61,21 +61,6 @@ double v_exp(double x) {
   return out[0];
 }
 
-double v_log1p(double x) {
-  double in[4] = {x, x, x, x};
-  double out[4];
-  simd::vstore(out, simd::log1p(simd::vload(in)));
-  return out[0];
-}
-
-double v_pow(double x, double y) {
-  double xs[4] = {x, x, x, x};
-  double ys[4] = {y, y, y, y};
-  double out[4];
-  simd::vstore(out, simd::pow(simd::vload(xs), simd::vload(ys)));
-  return out[0];
-}
-
 /// Uniform double in [lo, hi) from 53 random bits.
 double uniform(srm::random::Pcg64& rng, double lo, double hi) {
   const double u =
@@ -120,81 +105,11 @@ TEST(SimdUlp, ExpAcrossTheFiniteRange) {
   }
 }
 
-TEST(SimdUlp, Log1pNearZeroAndAcrossRange) {
-  srm::random::Pcg64 rng(0x109119ULL);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = uniform(rng, -0.999999, 100.0);
-    ASSERT_LE(ulp_distance(std::log1p(x), v_log1p(x)),
-              simd::kLog1pUlpBudget)
-        << "x=" << x;
-  }
-  // The detection models feed log1p(-p) with p -> 0 and p -> 1.
-  for (int e = -60; e <= -1; ++e) {
-    const double p = std::ldexp(1.0, e);
-    ASSERT_LE(ulp_distance(std::log1p(-p), v_log1p(-p)),
-              simd::kLog1pUlpBudget)
-        << "p=2^" << e;
-  }
-}
-
-TEST(SimdUlp, PowOverDetectionDomains) {
-  // The kernels raise mu in (0,1) to exponents in (0, ~log(days)+1] for
-  // model2 and [~0.09, 1.1] for model3; random sweeps over a generous
-  // superset of both.
-  srm::random::Pcg64 rng(0x90eULL);
-  for (int i = 0; i < 20000; ++i) {
-    const double mu = uniform(rng, 1e-6, 1.0 - 1e-6);
-    const double e = uniform(rng, 0.0, 20.0);
-    ASSERT_LE(ulp_distance(std::pow(mu, e), v_pow(mu, e)),
-              simd::kPowUlpBudget)
-        << "mu=" << mu << " e=" << e;
-  }
-}
-
-TEST(SimdUlp, PowBoundaryMuNearZeroAndOne) {
-  // mu -> 0: the slice sampler can step arbitrarily close to the prior
-  // support edge; mu -> 1: late-release regimes concentrate there.
-  for (const double mu : {1e-300, 1e-30, 1e-12, 1e-6}) {
-    for (const double e : {0.1, 1.0, 2.5, 10.0}) {
-      ASSERT_LE(ulp_distance(std::pow(mu, e), v_pow(mu, e)),
-                simd::kPowUlpBudget)
-          << "mu=" << mu << " e=" << e;
-    }
-  }
-  for (const double delta : {1e-16, 1e-12, 1e-8, 1e-4}) {
-    const double mu = 1.0 - delta;
-    for (const double e : {0.5, 3.0, 1e3, 1e6}) {
-      ASSERT_LE(ulp_distance(std::pow(mu, e), v_pow(mu, e)),
-                simd::kPowUlpBudget)
-          << "mu=" << mu << " e=" << e;
-    }
-  }
-}
-
-TEST(SimdUlp, PowOverflowingWeibullExponents) {
-  // Model4 exponents are d^omega - (d-1)^omega, which overflow the double
-  // range for large omega; mu^e must underflow cleanly to 0, never NaN.
-  for (const double e : {1e10, 1e100, 1e300, kInf}) {
-    for (const double mu : {1e-6, 0.5, 1.0 - 1e-12}) {
-      const double ref = std::pow(mu, e);
-      const double got = v_pow(mu, e);
-      if (ref == 0.0) {
-        EXPECT_EQ(got, 0.0) << "mu=" << mu << " e=" << e;
-      } else {
-        EXPECT_LE(ulp_distance(ref, got), simd::kPowUlpBudget)
-            << "mu=" << mu << " e=" << e;
-      }
-    }
-  }
-}
-
 TEST(SimdUlp, BudgetsStayPinned) {
   // The budgets are part of the documented contract (README / DESIGN);
   // loosening one is an API change and must show up in review as a test
   // edit, not silently through a header constant.
   EXPECT_EQ(simd::kLogUlpBudget, 2.0);
   EXPECT_EQ(simd::kExpUlpBudget, 2.0);
-  EXPECT_EQ(simd::kLog1pUlpBudget, 4.0);
-  EXPECT_EQ(simd::kPowUlpBudget, 64.0);
   EXPECT_EQ(simd::kExpSubnormalUlpBudget, 4096.0);
 }
