@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "artifact/serialize.hpp"
@@ -142,8 +144,14 @@ std::vector<std::size_t> parse_day_list(const std::string& text) {
     const auto comma = text.find(',', start);
     const auto length =
         comma == std::string::npos ? text.size() - start : comma - start;
-    days.push_back(static_cast<std::size_t>(
-        support::parse_count(text.substr(start, length))));
+    const std::string entry = text.substr(start, length);
+    std::size_t day = 0;
+    const auto [end, error] =
+        std::from_chars(entry.data(), entry.data() + entry.size(), day);
+    require_input(error == std::errc{} && end == entry.data() + entry.size(),
+                  "flag --obs-days expects comma-separated whole days, got '" +
+                      entry + "'");
+    days.push_back(day);
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
@@ -430,9 +438,8 @@ int run_release(const Args& args, std::ostream& out) {
   const auto horizon = args.get_size("horizon", 60);
   args.reject_unused();
 
-  const auto [run, plan] = core::fit_and_plan_release(
+  const auto [posterior, plan] = core::fit_and_plan_release(
       data, prior, kind, config, gibbs, horizon, costs);
-  const auto posterior = core::summarize_residual_posterior(run);
   const auto [lo, hi] = posterior.credible_interval(0.95);
   out << "residual bugs today (day " << data.days() << "): mean "
       << support::format_double(posterior.summary.mean, 2) << ", 95% CI ["

@@ -405,41 +405,22 @@ std::vector<double> BayesianSrm::detection_probabilities(
   return model_->probabilities(data_.days(), zeta);
 }
 
-std::vector<double> BayesianSrm::pointwise_log_likelihood(
-    std::span<const double> state) const {
-  Workspace scratch(*this);
-  std::vector<double> terms(data_.days());
-  pointwise_log_likelihood_into(state, scratch, terms);
-  return terms;
-}
-
-void BayesianSrm::pointwise_log_likelihood_into(std::span<const double> state,
-                                                Workspace& ws,
-                                                std::span<double> out) const {
-  SRM_EXPECTS(state.size() == state_size(), "state vector has wrong size");
-  SRM_EXPECTS(out.size() >= data_.days(),
-              "pointwise output needs one slot per testing day");
-  model_->probabilities_into(data_.days(), state.subspan(zeta_offset()),
-                             ws.probabilities);
-  const std::int64_t initial_bugs = initial_bugs_of(state);
-  for (std::size_t day = 1; day <= data_.days(); ++day) {
-    out[day - 1] =
-        log_pointwise_likelihood(data_, day, initial_bugs, ws.probabilities);
-  }
-}
-
-bool BayesianSrm::is_scan_workspace(
-    const mcmc::GibbsWorkspace& workspace) const {
-  return dynamic_cast<const Workspace*>(&workspace) != nullptr;
-}
-
 void BayesianSrm::pointwise_row(std::span<const double> state,
                                 mcmc::GibbsWorkspace& workspace,
                                 std::span<double> out) const {
   auto* ws = dynamic_cast<Workspace*>(&workspace);
   SRM_EXPECTS(ws != nullptr,
               "pointwise_row requires a workspace from make_workspace()");
-  pointwise_log_likelihood_into(state, *ws, out);
+  SRM_EXPECTS(state.size() == state_size(), "state vector has wrong size");
+  SRM_EXPECTS(out.size() >= data_.days(),
+              "pointwise output needs one slot per testing day");
+  model_->probabilities_into(data_.days(), state.subspan(zeta_offset()),
+                             ws->probabilities);
+  const std::int64_t initial_bugs = initial_bugs_of(state);
+  for (std::size_t day = 1; day <= data_.days(); ++day) {
+    out[day - 1] =
+        log_pointwise_likelihood(data_, day, initial_bugs, ws->probabilities);
+  }
 }
 
 double BayesianSrm::log_joint(std::span<const double> state) const {

@@ -105,18 +105,12 @@ class BayesianSrm final : public mcmc::GibbsModel {
   }
 
   // --- scoring ------------------------------------------------------------
-  /// True when `workspace` came from this model's make_workspace() — i.e.
-  /// pointwise_row may consume it. Streaming sinks receive whatever
-  /// workspace the sampler ran with and fall back to their own per-chain
-  /// workspace when this says no.
-  [[nodiscard]] bool is_scan_workspace(
-      const mcmc::GibbsWorkspace& workspace) const;
-
   /// Fills out[i-1] = log P(X_i = x_i | state) for day i = 1..data().days()
-  /// — the WAIC/LOO ingredient. `workspace` must satisfy
-  /// is_scan_workspace(); the fill is allocation-free and bit-identical for
-  /// any workspace history (streaming scoring and stored-trace replay score
-  /// through this same call).
+  /// — the WAIC/LOO ingredient (Eqs 24-25) — from one batch probability
+  /// fill into the workspace's buffer. `workspace` must come from this
+  /// model's make_workspace(); the fill is allocation-free and its bits do
+  /// not depend on the workspace's history. The streaming scorer calls it
+  /// once per retained draw with the chain's scan workspace.
   void pointwise_row(std::span<const double> state,
                      mcmc::GibbsWorkspace& workspace,
                      std::span<double> out) const;
@@ -125,21 +119,6 @@ class BayesianSrm final : public mcmc::GibbsModel {
   /// p_1..p_k for the given detection parameters.
   [[nodiscard]] std::vector<double> detection_probabilities(
       std::span<const double> zeta) const;
-
-  /// log P(X_i = x_i | omega) for every observed day, with omega read from a
-  /// sampled state vector — the WAIC ingredient (Eqs 24-25).
-  [[nodiscard]] std::vector<double> pointwise_log_likelihood(
-      std::span<const double> state) const;
-
-  /// Allocation-free variant: fills out[i-1] for day i = 1..days() reusing
-  /// the workspace's probability buffer. The WAIC matrix evaluates this per
-  /// (draw, day); one workspace per worker keeps the pass allocation-free.
-  /// Streaming scoring (pointwise_row) and stored-trace replay both score
-  /// through this one batch probability fill, so the two pipeline modes
-  /// agree bit for bit.
-  void pointwise_log_likelihood_into(std::span<const double> state,
-                                     Workspace& workspace,
-                                     std::span<double> out) const;
 
   /// Unnormalized log joint density of (state, data) — prior * likelihood.
   /// Exposed for testing the Gibbs conditionals against brute force.

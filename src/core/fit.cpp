@@ -72,8 +72,8 @@ ObservationResult fit_cell(const data::BugCountData& base,
                                 request.config, request.gibbs);
 
   // The scorer consumes each draw's fresh workspace buffers in-scan; no
-  // pointwise matrix and no second likelihood pass. keep_traces only
-  // decides whether run_gibbs also stores the draws.
+  // pointwise matrix is kept. keep_traces only decides whether run_gibbs
+  // also stores the draws.
   StreamingScorer scorer(*model, request.gibbs.chain_count,
                          request.gibbs.iterations);
   diagnostics::ParameterStatsAccumulator stats(model->state_size(),

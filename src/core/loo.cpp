@@ -5,7 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "core/pointwise.hpp"
 #include "runtime/parallel_for.hpp"
 #include "stats/gpd.hpp"
 #include "support/error.hpp"
@@ -53,14 +52,6 @@ double pareto_smooth_log_weights(std::vector<double>& log_weights) {
         std::min(std::log(smoothed), raw_max);
   }
   return gpd.k();
-}
-
-LooResult compute_psis_loo(const BayesianSrm& model, const mcmc::McmcRun& run) {
-  SRM_EXPECTS(run.parameter_names().size() == model.state_size(),
-              "McmcRun does not match the model's state layout");
-  // Collect log p(x_i | omega_s) for all (i, s), in parallel over draws.
-  return compute_psis_loo_from_matrix(
-      pointwise_log_likelihood_matrix(model, run));
 }
 
 LooResult compute_psis_loo_from_matrix(const support::Matrix& log_lik) {

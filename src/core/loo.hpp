@@ -12,10 +12,9 @@
 // the standard "ok" threshold).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
-#include "core/bayes_srm.hpp"
-#include "mcmc/trace.hpp"
 #include "support/matrix.hpp"
 
 namespace srm::core {
@@ -38,13 +37,9 @@ inline constexpr double kParetoKThreshold = 0.7;
 /// Fewest pooled posterior draws PSIS-LOO accepts.
 inline constexpr std::size_t kMinLooDraws = 25;
 
-/// Computes PSIS-LOO for `model` from the retained samples in `run`.
-LooResult compute_psis_loo(const BayesianSrm& model, const mcmc::McmcRun& run);
-
-/// PSIS-LOO from a pre-built pointwise log-likelihood matrix (rows = data
-/// points, columns = draws) — the entry point the streaming pipeline uses
-/// with StreamingScorer::log_likelihood_matrix(), bit-identical to the
-/// stored-trace overload above.
+/// PSIS-LOO from a pointwise log-likelihood matrix (rows = data points,
+/// columns = draws): StreamingScorer::log_likelihood_matrix() of a scorer
+/// built with keep_matrix.
 LooResult compute_psis_loo_from_matrix(const support::Matrix& log_lik);
 
 /// Pareto-smooths a vector of raw log importance ratios in place and

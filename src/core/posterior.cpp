@@ -37,8 +37,4 @@ ResidualPosterior summarize_residual_samples(std::span<const double> pooled) {
   return posterior;
 }
 
-ResidualPosterior summarize_residual_posterior(const mcmc::McmcRun& run) {
-  return summarize_residual_samples(run.pooled("residual"));
-}
-
 }  // namespace srm::core

@@ -1,6 +1,7 @@
-// Posterior summaries of the residual bug count from an MCMC run — the
-// statistics the paper tabulates (mean, median, mode, standard deviation;
-// Tables II-V) and the box-plot five-number summaries (Figs 2-3).
+// Posterior summaries of the residual bug count from the pooled Gibbs
+// draws — the statistics the paper tabulates (mean, median, mode, standard
+// deviation; Tables II-V) and the box-plot five-number summaries
+// (Figs 2-3).
 #pragma once
 
 #include <cstdint>
@@ -8,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "mcmc/trace.hpp"
 #include "stats/summary.hpp"
 
 namespace srm::core {
@@ -29,11 +29,8 @@ struct ResidualPosterior {
 };
 
 /// Summarizes pooled residual draws (chain 0's draws first, matching
-/// McmcRun::pooled). The streaming ResidualAccumulator and the stored-trace
-/// path both funnel through this, so their summaries are bit-identical.
+/// McmcRun::pooled). The streaming ResidualAccumulator finalizes through
+/// this.
 ResidualPosterior summarize_residual_samples(std::span<const double> pooled);
-
-/// Extracts the "residual" parameter from `run` and summarizes it.
-ResidualPosterior summarize_residual_posterior(const mcmc::McmcRun& run);
 
 }  // namespace srm::core

@@ -1,9 +1,11 @@
 #include "core/release_policy.hpp"
 
+#include <array>
 #include <cmath>
 #include <span>
 #include <utility>
 
+#include "core/streaming.hpp"
 #include "support/error.hpp"
 #include "support/format.hpp"
 
@@ -85,9 +87,12 @@ ReleaseFit fit_and_plan_release(const data::BugCountData& data,
   mcmc::GibbsOptions traced = gibbs;
   traced.keep_traces = true;
   const auto model = make_model(prior, model_kind, data, config, traced);
-  auto run = mcmc::run_gibbs(*model, traced);
+  ResidualAccumulator residual(model->residual_index(), traced.chain_count,
+                               traced.iterations);
+  const std::array<mcmc::PosteriorAccumulator*, 1> sinks{&residual};
+  const auto run = mcmc::run_gibbs(*model, traced, sinks);
   auto plan = plan_release(*model, run, horizon, costs);
-  return {std::move(run), std::move(plan)};
+  return {residual.finalize(), std::move(plan)};
 }
 
 }  // namespace srm::core

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/bayes_srm.hpp"
+#include "core/posterior.hpp"
 #include "data/bug_count_data.hpp"
 #include "mcmc/trace.hpp"
 
@@ -47,17 +48,19 @@ void validate_release_plan(std::size_t horizon, const ReleaseCosts& costs);
 ReleasePlan plan_release(const BayesianSrm& model, const mcmc::McmcRun& run,
                          std::size_t horizon, const ReleaseCosts& costs);
 
-/// A Gibbs fit together with the release plan drawn from it.
+/// The residual-bug posterior of a Gibbs fit together with the release
+/// plan drawn from it.
 struct ReleaseFit {
-  mcmc::McmcRun run;
+  ResidualPosterior posterior;
   ReleasePlan plan;
 };
 
 /// Builds the family's model on `data`, fits it by Gibbs and plans the
-/// release from the stored run. plan_release walks the raw chains, so the
-/// fit always keeps its traces whatever `gibbs.keep_traces` says (the flag
-/// never changes the draws). Runs validate_release_plan before any
-/// sampling.
+/// release from the stored run; the residual posterior comes from a
+/// ResidualAccumulator attached to the same run_gibbs call. plan_release
+/// walks the raw chains, so the fit always keeps its traces whatever
+/// `gibbs.keep_traces` says (the flag never changes the draws). Runs
+/// validate_release_plan before any sampling.
 ReleaseFit fit_and_plan_release(const data::BugCountData& data,
                                 PriorKind prior, DetectionModelKind model_kind,
                                 const HyperPriorConfig& config,

@@ -99,17 +99,9 @@ void StreamingScorer::accumulate(std::size_t chain,
   ChainSlot& slot = chains_[chain];
   SRM_EXPECTS(slot.draws < draws_per_chain_,
               "chain delivered more draws than declared");
-  mcmc::GibbsWorkspace* scan = workspace;
-  if (scan == nullptr || !model_.is_scan_workspace(*scan)) {
-    // Stored-trace replay (or a foreign workspace type):
-    // score with a chain-local fallback workspace from the model itself.
-    // Lazily built — the in-scan path never pays for it.
-    if (slot.fallback == nullptr) {
-      slot.fallback = model_.make_workspace();
-    }
-    scan = slot.fallback.get();
-  }
-  model_.pointwise_row(state, *scan, slot.row);
+  SRM_EXPECTS(workspace != nullptr,
+              "StreamingScorer needs the chain's scan workspace");
+  model_.pointwise_row(state, *workspace, slot.row);
   waic_.add_draw(chain, slot.row);
   if (keep_matrix_) {
     // Columns are disjoint per chain, so concurrent chains never share a

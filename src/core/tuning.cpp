@@ -1,7 +1,9 @@
 #include "core/tuning.hpp"
 
+#include <array>
 #include <limits>
 
+#include "core/streaming.hpp"
 #include "support/error.hpp"
 
 namespace srm::core {
@@ -38,6 +40,10 @@ TuningResult tune_hyperparameters(const data::BugCountData& observed,
       uses_theta(model) ? grid.theta_max_candidates
                         : std::vector<double>{base_config.limits.theta_max};
 
+  // Candidates are scored in-scan; no draw is stored.
+  mcmc::GibbsOptions streaming = gibbs;
+  streaming.keep_traces = false;
+
   TuningResult result;
   double best = std::numeric_limits<double>::infinity();
   for (const double prior_limit : prior_candidates) {
@@ -50,9 +56,12 @@ TuningResult tune_hyperparameters(const data::BugCountData& observed,
       }
       config.limits.theta_max = theta_max;
 
-      const auto srm = make_model(prior, model, observed, config, gibbs);
-      const auto run = mcmc::run_gibbs(*srm, gibbs);
-      const auto waic = compute_waic(*srm, run);
+      const auto srm = make_model(prior, model, observed, config, streaming);
+      StreamingScorer scorer(*srm, streaming.chain_count,
+                             streaming.iterations);
+      const std::array<mcmc::PosteriorAccumulator*, 1> sinks{&scorer};
+      mcmc::run_gibbs(*srm, streaming, sinks);
+      const auto waic = scorer.waic();
       result.evaluated.push_back({config, waic});
       if (waic.waic < best) {
         best = waic.waic;

@@ -4,10 +4,10 @@
 // posterior mean, Gelman-Rubin PSRF, chain-0 Geweke Z, and pooled ESS —
 // without the chains ever being stored.
 //
-// Replication guarantees (streaming and stored-trace replay both feed
-// this same accumulator, so the two modes are bit-identical by
-// construction; the notes below are about matching the *trace-based*
-// diagnostics functions):
+// This accumulator is the only producer of the diagnostics a fit reports.
+// Replication guarantees against the batch diagnostics functions, which
+// read a stored trace (the tests attach this sink to the same run_gibbs
+// call that stores one):
 //   * PSRF executes exactly the gelman_rubin() arithmetic: per-chain
 //     Welford variances and plain-sum means, combined in chain order.
 //   * Geweke collects the same first/last chain-0 windows the trace path
@@ -33,8 +33,7 @@
 
 namespace srm::diagnostics {
 
-/// Finalized per-parameter diagnostics, mirroring what run_observation
-/// derives from a stored trace.
+/// Finalized per-parameter diagnostics, as fit_cell reports them.
 struct OnlineParameterStats {
   double posterior_mean = 0.0;
   double psrf = 0.0;      ///< 1.0 (neutral) for single-chain runs

@@ -1,11 +1,10 @@
 // Streaming posterior sinks. The Gibbs driver feeds every retained draw
 // to a set of PosteriorAccumulator sinks at the moment it is emitted, so
 // downstream consumers (pointwise scoring, WAIC/LOO moments, convergence
-// diagnostics, posterior summaries) can run single-pass without the
-// chains ever being stored. `replay` feeds a stored McmcRun through the
-// same sinks, which is how the stored-trace path stays bit-identical to
-// the streaming one: both modes execute the same accumulation arithmetic
-// in the same per-chain order.
+// diagnostics, posterior summaries) run single-pass without the chains
+// ever being stored. The sinks are the only code that turns retained
+// draws into a score or a summary; a stored trace is never fed back
+// through them.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +13,6 @@
 namespace srm::mcmc {
 
 class GibbsWorkspace;
-class McmcRun;
 
 /// One sink fed once per retained draw.
 ///
@@ -23,22 +21,17 @@ class McmcRun;
 /// concurrently for the same chain. Implementations shard their state
 /// per chain and merge shards in chain order at finalization — that
 /// deterministic merge is what keeps results independent of the worker
-/// count and bit-identical between the streaming and replay paths.
+/// count.
 class PosteriorAccumulator {
  public:
   virtual ~PosteriorAccumulator() = default;
 
   /// `state` is the retained draw (state-vector order). `workspace` is
-  /// the chain's scratch workspace — the one the model's update() just
-  /// ran with — or nullptr when replaying a stored trace; sinks that can
-  /// exploit freshly computed scan buffers must also handle nullptr.
+  /// the chain's scratch workspace: the one the model's make_workspace()
+  /// returned and its update() just ran with, so sinks may reuse its
+  /// freshly sized buffers.
   virtual void accumulate(std::size_t chain, std::span<const double> state,
                           GibbsWorkspace* workspace) = 0;
 };
-
-/// Feeds every retained draw of a stored run through `sinks`, chain by
-/// chain in chain order, with a null workspace. Draw order within a
-/// chain matches the order the driver emitted them.
-void replay(const McmcRun& run, std::span<PosteriorAccumulator* const> sinks);
 
 }  // namespace srm::mcmc

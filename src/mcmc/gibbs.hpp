@@ -4,8 +4,12 @@
 // full Gibbs scan; the driver owns burn-in, thinning, per-chain seeding and
 // (optionally) fanning the chains out on the shared srm::runtime pool.
 // Everything is deterministic given the master seed: chains draw from
-// substreams derived by runtime::SeedSequence, so the retained traces are
-// bit-identical for any worker count (and for serial execution).
+// substreams derived by runtime::SeedSequence, so the retained draws are
+// bit-identical for any worker count (and for serial execution). Every
+// retained draw goes to the caller's streaming sinks, the one place draws
+// become scores and summaries; storing them in the returned McmcRun is
+// optional (`keep_traces`) and serves only the consumers that walk raw
+// draws (predict, release).
 #pragma once
 
 #include <memory>

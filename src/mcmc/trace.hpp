@@ -1,6 +1,8 @@
 // Storage for MCMC output: named parameter traces per chain, plus pooled
-// views. The convergence diagnostics and the WAIC computation both consume
-// this type.
+// views. Only code that must walk raw draws reads it: holdout prediction
+// and release planning, and the batch convergence diagnostics the tests
+// compare the streaming sinks against. Scores and summaries never come
+// from here; the streaming sinks (mcmc/accumulator.hpp) produce them.
 #pragma once
 
 #include <span>

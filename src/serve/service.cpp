@@ -102,6 +102,7 @@ std::vector<ResponseInfo> Service::handle_batch(
   std::vector<ParsedLine> parsed;
   parsed.reserve(lines.size());
   std::map<std::string, Json> resolved;        // hash -> envelope
+  std::map<std::string, std::string> refused;  // hash -> cache error
   std::map<std::string, CacheTier> tiers;      // hash -> first resolution
   std::vector<Need> to_compute;                // schedule order
   std::map<std::string, std::size_t> compute_slot;  // hash -> slot index
@@ -165,7 +166,18 @@ std::vector<ResponseInfo> Service::handle_batch(
           if (it->second == CacheTier::kComputed) ++dedup_shared_;
           continue;
         }
-        if (auto hit = cache_.lookup(need.hash); hit.has_value()) {
+        if (refused.contains(need.hash)) continue;
+        // A disk cell the store refuses (another schema version, a hash
+        // that disagrees with its file name) fails the requests that need
+        // it, not the service.
+        std::optional<std::pair<Json, CacheTier>> hit;
+        try {
+          hit = cache_.lookup(need.hash);
+        } catch (const std::exception& error) {
+          refused.emplace(need.hash, error.what());
+          continue;
+        }
+        if (hit.has_value()) {
           tiers.emplace(need.hash, hit->second);
           resolved.emplace(need.hash, std::move(hit->first));
           continue;
@@ -211,6 +223,9 @@ std::vector<ResponseInfo> Service::handle_batch(
       [&](const std::string& hash) -> std::pair<const Json*, std::string> {
     if (const auto it = resolved.find(hash); it != resolved.end()) {
       return {&it->second, {}};
+    }
+    if (const auto it = refused.find(hash); it != refused.end()) {
+      return {nullptr, it->second};
     }
     const auto slot = compute_slot.find(hash);
     SRM_EXPECTS(slot != compute_slot.end(), "lost envelope for " + hash);

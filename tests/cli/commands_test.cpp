@@ -569,8 +569,16 @@ TEST(CliUserErrors, SimulateArgumentsAreCheckedBeforeTheRun) {
 }
 
 TEST(CliUserErrors, MalformedObservationDay) {
-  expect_plain_user_error("sweep", {"--csv", "sys1", "--obs-days", "48,x"},
-                          "malformed count CSV cell: 'x'");
+  // The message names the flag, not a CSV cell; the day range itself is
+  // validate_observation_day's rule.
+  expect_plain_user_error(
+      "sweep", {"--csv", "sys1", "--obs-days", "48,x"},
+      "flag --obs-days expects comma-separated whole days, got 'x'");
+  expect_plain_user_error(
+      "sweep", {"--csv", "sys1", "--obs-days", "-5"},
+      "flag --obs-days expects comma-separated whole days, got '-5'");
+  expect_plain_user_error("sweep", {"--csv", "sys1", "--obs-days", "48,0"},
+                          "day must be >= 1");
 }
 
 }  // namespace

@@ -138,11 +138,11 @@ TEST(ZeroAllocationKernel, PointwiseLikelihoodIntoIsAllocationFree) {
   auto state = model.initial_state(rng);
   BayesianSrm::Workspace workspace(model);
   std::vector<double> out(data.days());
-  model.pointwise_log_likelihood_into(state, workspace, out);  // warm-up
+  model.pointwise_row(state, workspace, out);  // warm-up
   g_allocation_count.store(0, std::memory_order_relaxed);
   g_counting.store(true, std::memory_order_relaxed);
   for (int i = 0; i < 50; ++i) {
-    model.pointwise_log_likelihood_into(state, workspace, out);
+    model.pointwise_row(state, workspace, out);
   }
   g_counting.store(false, std::memory_order_relaxed);
   EXPECT_EQ(g_allocation_count.load(std::memory_order_relaxed), 0u);

@@ -109,8 +109,8 @@ TEST(BayesianSrm, PointwiseLogLikelihoodSumsToJointLikelihood) {
   auto state = model.initial_state(rng);
   for (int i = 0; i < 10; ++i) model.update(state, rng);
 
-  const auto pointwise = model.pointwise_log_likelihood(state);
-  ASSERT_EQ(pointwise.size(), small_data().days());
+  std::vector<double> pointwise(small_data().days());
+  model.pointwise_row(state, *model.make_workspace(), pointwise);
   double sum = 0.0;
   for (const double term : pointwise) sum += term;
 
@@ -139,7 +139,9 @@ TEST(BayesianSrm, WrongStateSizeThrows) {
   srm::random::Rng rng(1);
   EXPECT_THROW(model.update(bad, rng), srm::InvalidArgument);
   EXPECT_THROW((void)model.log_joint(bad), srm::InvalidArgument);
-  EXPECT_THROW(model.pointwise_log_likelihood(bad), srm::InvalidArgument);
+  std::vector<double> row(small_data().days());
+  EXPECT_THROW(model.pointwise_row(bad, *model.make_workspace(), row),
+               srm::InvalidArgument);
 }
 
 TEST(BayesianSrm, ConfigValidation) {

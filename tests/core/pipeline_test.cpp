@@ -1,24 +1,29 @@
-// The streaming posterior pipeline's bit-identity contract.
+// The streaming posterior pipeline's output contract.
 //
-// fit_cell() scores and summarises every retained draw in-scan and never
-// needs a stored draw. The reference is the stored-trace path built here
-// from public calls: run_gibbs with traces on, mcmc::replay through the
-// same accumulators, and the pointwise-matrix compute_waic(model, run).
-// Every reported number — WAIC, PSRF, Geweke, ESS, posterior mean, the
-// full residual summary — must be BIT-identical between the two for every
+// fit_cell() scores and summarises every retained draw in-scan through the
+// streaming sinks, the only code that turns draws into WAIC, PSIS-LOO and
+// the residual summary. The digests below pin those results for every
 // sampler scheme, prior and detection model (2 x 2 x 7 = 28
-// configurations); PSIS-LOO is pinned the same way below.
+// configurations) and PSIS-LOO for the four Weibull configurations. They
+// were captured when the sinks still had a store-then-rescore twin that
+// agreed with them bit for bit, so a change that perturbs a single bit of
+// any reported number fails here.
 //
-// Where the streamed statistics also reproduce the legacy trace-based
-// helpers exactly (PSRF via the gelman_rubin arithmetic, Geweke via the
-// shared window finalizer, the residual summary via
-// summarize_residual_samples), this suite pins that too.
+// Where the streamed statistics also reproduce the batch trace-based
+// diagnostics exactly (PSRF via the gelman_rubin arithmetic, Geweke via the
+// shared window finalizer), this suite pins that too: the sinks ride the
+// same run_gibbs call that stores the traces the batch references read.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
+#include "artifact/serialize.hpp"
 #include "core/bayes_srm.hpp"
 #include "core/experiment.hpp"
 #include "core/fit.hpp"
@@ -39,7 +44,6 @@ namespace {
 using srm::core::BayesianSrm;
 using srm::core::DetectionModelKind;
 using srm::core::ExperimentSpec;
-using srm::core::ObservationResult;
 using srm::core::PriorKind;
 using srm::core::SamplerScheme;
 
@@ -63,116 +67,120 @@ ExperimentSpec spec_for(SamplerScheme scheme, PriorKind prior,
   return spec;
 }
 
-void expect_bitwise_equal(const ObservationResult& stored,
-                          const ObservationResult& streamed,
-                          const std::string& label) {
-  // WAIC, all fields.
-  EXPECT_EQ(stored.waic.waic, streamed.waic.waic) << label;
-  EXPECT_EQ(stored.waic.waic_per_point, streamed.waic.waic_per_point)
-      << label;
-  EXPECT_EQ(stored.waic.learning_loss, streamed.waic.learning_loss) << label;
-  EXPECT_EQ(stored.waic.functional_variance,
-            streamed.waic.functional_variance)
-      << label;
-  EXPECT_EQ(stored.waic.samples, streamed.waic.samples) << label;
+constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 
-  // Residual posterior: summary, box plot, and the raw pooled draws.
-  const auto& a = stored.posterior;
-  const auto& b = streamed.posterior;
-  EXPECT_EQ(a.summary.mean, b.summary.mean) << label;
-  EXPECT_EQ(a.summary.sd, b.summary.sd) << label;
-  EXPECT_EQ(a.summary.median, b.summary.median) << label;
-  EXPECT_EQ(a.summary.mode, b.summary.mode) << label;
-  EXPECT_EQ(a.summary.min, b.summary.min) << label;
-  EXPECT_EQ(a.summary.max, b.summary.max) << label;
-  EXPECT_EQ(a.box.median, b.box.median) << label;
-  EXPECT_EQ(a.box.q1, b.box.q1) << label;
-  EXPECT_EQ(a.box.q3, b.box.q3) << label;
-  EXPECT_EQ(a.samples, b.samples) << label;
-
-  // Per-parameter diagnostics.
-  ASSERT_EQ(stored.diagnostics.size(), streamed.diagnostics.size()) << label;
-  for (std::size_t p = 0; p < stored.diagnostics.size(); ++p) {
-    const auto& d_a = stored.diagnostics[p];
-    const auto& d_b = streamed.diagnostics[p];
-    EXPECT_EQ(d_a.name, d_b.name) << label;
-    EXPECT_EQ(d_a.posterior_mean, d_b.posterior_mean)
-        << label << " " << d_a.name;
-    EXPECT_EQ(d_a.psrf, d_b.psrf) << label << " " << d_a.name;
-    EXPECT_EQ(d_a.geweke_z, d_b.geweke_z) << label << " " << d_a.name;
-    EXPECT_EQ(d_a.ess, d_b.ess) << label << " " << d_a.name;
-  }
+std::uint64_t fnv1a_byte(std::uint64_t hash, unsigned char byte) {
+  return (hash ^ byte) * 1099511628211ULL;
 }
 
-/// The stored-trace reference for one fit_cell request: sample with traces
-/// on, replay the traces through the accumulators fit_cell streams into,
-/// and score WAIC from the pointwise matrix.
-ObservationResult stored_trace_fit(const srm::data::BugCountData& base,
-                                   const srm::core::FitRequest& request) {
-  const auto observed =
-      srm::core::dataset_at_observation(base, request.observation_day);
-  const auto model = srm::core::make_model(request.prior, request.model,
-                                           observed, request.config,
-                                           request.gibbs);
-  auto gibbs = request.gibbs;
-  gibbs.keep_traces = true;
-  const auto run = srm::mcmc::run_gibbs(*model, gibbs);
-
-  srm::diagnostics::ParameterStatsAccumulator stats(
-      model->state_size(), gibbs.chain_count, gibbs.iterations);
-  srm::core::ResidualAccumulator residual(model->residual_index(),
-                                          gibbs.chain_count, gibbs.iterations);
-  const std::array<srm::mcmc::PosteriorAccumulator*, 2> sinks{&stats,
-                                                              &residual};
-  srm::mcmc::replay(run, sinks);
-
-  ObservationResult result;
-  result.observation_day = request.observation_day;
-  result.detected_so_far = observed.total();
-  result.actual_residual = request.eventual_total - observed.total();
-  result.waic = srm::core::compute_waic(*model, run);
-  result.posterior = residual.finalize();
-  const auto names = run.parameter_names();
-  for (std::size_t p = 0; p < names.size(); ++p) {
-    const auto online = stats.parameter(p);
-    srm::core::ParameterDiagnostics diag;
-    diag.name = names[p];
-    diag.posterior_mean = online.posterior_mean;
-    diag.ess = online.ess;
-    diag.psrf = online.psrf;
-    diag.geweke_z = online.geweke_z;
-    result.diagnostics.push_back(std::move(diag));
+std::uint64_t fnv1a_text(std::uint64_t hash, const std::string& text) {
+  for (const char c : text) {
+    hash = fnv1a_byte(hash, static_cast<unsigned char>(c));
   }
-  return result;
+  return hash;
 }
 
-TEST(StreamingPipeline, BitIdenticalToStoredTracesAcrossAll28Configs) {
+std::uint64_t fnv1a_bits(std::uint64_t hash, double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  for (int byte = 0; byte < 8; ++byte) {
+    hash = fnv1a_byte(hash, static_cast<unsigned char>(bits >> (8 * byte)));
+  }
+  return hash;
+}
+
+std::string hex(std::uint64_t value) {
+  char buffer[19];
+  std::snprintf(buffer, sizeof buffer, "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
+struct CellDigest {
+  SamplerScheme scheme;
+  PriorKind prior;
+  int model_id;
+  std::uint64_t digest;
+};
+
+constexpr auto kCollapsed = SamplerScheme::kCollapsed;
+constexpr auto kVanilla = SamplerScheme::kVanilla;
+constexpr auto kPoisson = PriorKind::kPoisson;
+constexpr auto kNegBin = PriorKind::kNegativeBinomial;
+
+// FNV-1a of artifact::to_json(fit_cell(...)).dump() for small_gibbs() at the
+// full SYS1 window, in (scheme, prior, model) loop order: the paper's
+// model0..model4 and the extensions model5 and model6.
+constexpr CellDigest kFitCellDigests[] = {
+    {kCollapsed, kPoisson, 0, 0x28185a60144184d1ULL},
+    {kCollapsed, kPoisson, 1, 0xf3c06262a2161f70ULL},
+    {kCollapsed, kPoisson, 2, 0x974e80e5a9a7026dULL},
+    {kCollapsed, kPoisson, 3, 0x3f2596f21dd37dafULL},
+    {kCollapsed, kPoisson, 4, 0x7ce8a973d52e3bcdULL},
+    {kCollapsed, kPoisson, 5, 0x0d6f05eddffb370fULL},
+    {kCollapsed, kPoisson, 6, 0xcaa9a409c4479ac6ULL},
+    {kCollapsed, kNegBin, 0, 0x8598cf9e06b30c3cULL},
+    {kCollapsed, kNegBin, 1, 0x5d8c8a0b2a4d1c20ULL},
+    {kCollapsed, kNegBin, 2, 0xb272290ea2c9106aULL},
+    {kCollapsed, kNegBin, 3, 0xd2771c349a046dc4ULL},
+    {kCollapsed, kNegBin, 4, 0x42c57edc16bd63cdULL},
+    {kCollapsed, kNegBin, 5, 0xc230163bfdcb0b91ULL},
+    {kCollapsed, kNegBin, 6, 0x2045d00283f2e23aULL},
+    {kVanilla, kPoisson, 0, 0xce6f710757690673ULL},
+    {kVanilla, kPoisson, 1, 0x7f82d6bdfead0f6bULL},
+    {kVanilla, kPoisson, 2, 0x9fad3221b257b623ULL},
+    {kVanilla, kPoisson, 3, 0xa44b76d630695b05ULL},
+    {kVanilla, kPoisson, 4, 0x5a130416bc1f1bb2ULL},
+    {kVanilla, kPoisson, 5, 0xac8aab33d69cccc9ULL},
+    {kVanilla, kPoisson, 6, 0x84c38c80e1afa247ULL},
+    {kVanilla, kNegBin, 0, 0xfc834938002390d6ULL},
+    {kVanilla, kNegBin, 1, 0x826a99791f84e963ULL},
+    {kVanilla, kNegBin, 2, 0xec9725db4e97de63ULL},
+    {kVanilla, kNegBin, 3, 0xd459ebbbb06aaebaULL},
+    {kVanilla, kNegBin, 4, 0x650c90f4ba4c31f1ULL},
+    {kVanilla, kNegBin, 5, 0x53bcac5c96002713ULL},
+    {kVanilla, kNegBin, 6, 0x9dbaa2aa0d85d50bULL},
+};
+
+TEST(StreamingPipeline, FitCellDigestsPinnedAcrossAll28Configs) {
   const auto data = srm::data::sys1_grouped();
+  std::size_t index = 0;
   for (const auto scheme :
        {SamplerScheme::kCollapsed, SamplerScheme::kVanilla}) {
     for (const auto prior :
          {PriorKind::kPoisson, PriorKind::kNegativeBinomial}) {
-      for (const auto model : srm::core::all_detection_model_kinds()) {
-        auto spec = spec_for(scheme, prior, model);
-        spec.gibbs.keep_traces = false;
+      for (int model_id = 0; model_id < 7; ++model_id) {
+        const auto model = static_cast<DetectionModelKind>(model_id);
         const std::string label =
             std::string(scheme == SamplerScheme::kCollapsed ? "collapsed"
                                                             : "vanilla") +
             "/" + srm::core::to_string(prior) + "/" +
             srm::core::to_string(model);
-
-        const auto request =
-            srm::core::single_cell_request(spec, data.days());
-        const auto stored = stored_trace_fit(data, request);
-        const auto streamed = srm::core::fit_cell(data, request);
-        expect_bitwise_equal(stored, streamed, label);
+        const auto request = srm::core::single_cell_request(
+            spec_for(scheme, prior, model), data.days());
+        const std::string json =
+            srm::artifact::to_json(srm::core::fit_cell(data, request)).dump();
+        const std::uint64_t digest = fnv1a_text(kFnvOffset, json);
+        ASSERT_LT(index, std::size(kFitCellDigests))
+            << label << " " << hex(digest);
+        const auto& pinned = kFitCellDigests[index++];
+        EXPECT_EQ(pinned.scheme, scheme) << label;
+        EXPECT_EQ(pinned.prior, prior) << label;
+        EXPECT_EQ(pinned.model_id, model_id) << label;
+        EXPECT_EQ(hex(pinned.digest), hex(digest)) << label;
       }
     }
   }
+  EXPECT_EQ(index, std::size(kFitCellDigests));
 }
 
-TEST(StreamingPipeline, ScorerMatrixReproducesPsisLooBitwise) {
+TEST(StreamingPipeline, ScorerMatrixPsisLooDigestsPinned) {
+  // FNV-1a of every PSIS-LOO field (elpd_loo, looic, high_k_count, then
+  // each point's elpd and k-hat) from the scorer's retained matrix.
+  constexpr std::uint64_t kPinned[] = {
+      0xd819724e71b9b9aaULL, 0xae24a6a8ed8bbfd8ULL,   // collapsed
+      0x1f9e858b2a6244c9ULL, 0xec87927ad0fe78d5ULL};  // vanilla
   const auto data = srm::data::sys1_grouped();
+  std::size_t index = 0;
   for (const auto scheme :
        {SamplerScheme::kCollapsed, SamplerScheme::kVanilla}) {
     for (const auto prior :
@@ -181,30 +189,25 @@ TEST(StreamingPipeline, ScorerMatrixReproducesPsisLooBitwise) {
       config.scheme = scheme;
       const BayesianSrm model(prior, DetectionModelKind::kWeibull, data,
                               config);
-      const auto gibbs = small_gibbs();
-
-      const auto run = srm::mcmc::run_gibbs(model, gibbs);
-      const auto stored = srm::core::compute_psis_loo(model, run);
-
+      auto gibbs = small_gibbs();
+      gibbs.keep_traces = false;
       srm::core::StreamingScorer scorer(model, gibbs.chain_count,
                                         gibbs.iterations,
                                         /*keep_matrix=*/true);
       std::array<srm::mcmc::PosteriorAccumulator*, 1> sinks{&scorer};
-      auto streaming_gibbs = gibbs;
-      streaming_gibbs.keep_traces = false;
-      srm::mcmc::run_gibbs(model, streaming_gibbs, sinks);
-      const auto streamed =
-          srm::core::compute_psis_loo_from_matrix(scorer.log_likelihood_matrix());
+      srm::mcmc::run_gibbs(model, gibbs, sinks);
+      const auto loo = srm::core::compute_psis_loo_from_matrix(
+          scorer.log_likelihood_matrix());
 
-      EXPECT_EQ(stored.elpd_loo, streamed.elpd_loo);
-      EXPECT_EQ(stored.looic, streamed.looic);
-      EXPECT_EQ(stored.high_k_count, streamed.high_k_count);
-      ASSERT_EQ(stored.pointwise.size(), streamed.pointwise.size());
-      for (std::size_t i = 0; i < stored.pointwise.size(); ++i) {
-        EXPECT_EQ(stored.pointwise[i].elpd, streamed.pointwise[i].elpd);
-        EXPECT_EQ(stored.pointwise[i].pareto_k,
-                  streamed.pointwise[i].pareto_k);
+      std::uint64_t digest = fnv1a_bits(kFnvOffset, loo.elpd_loo);
+      digest = fnv1a_bits(digest, loo.looic);
+      digest = fnv1a_bits(digest, static_cast<double>(loo.high_k_count));
+      for (const auto& point : loo.pointwise) {
+        digest = fnv1a_bits(digest, point.elpd);
+        digest = fnv1a_bits(digest, point.pareto_k);
       }
+      EXPECT_EQ(hex(kPinned[index++]), hex(digest))
+          << srm::core::to_string(prior);
     }
   }
 }
@@ -214,15 +217,16 @@ TEST(StreamingPipeline, AccumulatorReproducesLegacyTraceDiagnostics) {
   const BayesianSrm model(PriorKind::kPoisson, DetectionModelKind::kWeibull,
                           data, {});
   const auto gibbs = small_gibbs();
-  const auto run = srm::mcmc::run_gibbs(model, gibbs);
 
+  // The sinks see exactly the draws the stored traces hold: both come from
+  // this one run_gibbs call.
   srm::diagnostics::ParameterStatsAccumulator stats(
       model.state_size(), gibbs.chain_count, gibbs.iterations);
   srm::core::ResidualAccumulator residual(model.residual_index(),
                                           gibbs.chain_count,
                                           gibbs.iterations);
   std::array<srm::mcmc::PosteriorAccumulator*, 2> sinks{&stats, &residual};
-  srm::mcmc::replay(run, sinks);
+  const auto run = srm::mcmc::run_gibbs(model, gibbs, sinks);
 
   for (std::size_t p = 0; p < model.state_size(); ++p) {
     const auto online = stats.parameter(p);
@@ -245,8 +249,9 @@ TEST(StreamingPipeline, AccumulatorReproducesLegacyTraceDiagnostics) {
   }
 
   // The residual accumulator funnels through summarize_residual_samples on
-  // the same chain-ordered pooled draws — bitwise.
-  const auto stored = srm::core::summarize_residual_posterior(run);
+  // the chain-ordered pooled draws — bitwise.
+  const auto stored =
+      srm::core::summarize_residual_samples(run.pooled("residual"));
   const auto streamed = residual.finalize();
   EXPECT_EQ(stored.summary.mean, streamed.summary.mean);
   EXPECT_EQ(stored.summary.sd, streamed.summary.sd);
@@ -277,12 +282,11 @@ TEST(StreamingPipeline, SingleChainEssMatchesLegacyInsideLagWindow) {
   auto gibbs = small_gibbs();
   gibbs.chain_count = 1;
   gibbs.iterations = 120;
-  const auto run = srm::mcmc::run_gibbs(model, gibbs);
 
   srm::diagnostics::ParameterStatsAccumulator stats(model.state_size(), 1,
                                                     gibbs.iterations);
   std::array<srm::mcmc::PosteriorAccumulator*, 1> sinks{&stats};
-  srm::mcmc::replay(run, sinks);
+  const auto run = srm::mcmc::run_gibbs(model, gibbs, sinks);
   for (std::size_t p = 0; p < model.state_size(); ++p) {
     const double legacy =
         srm::diagnostics::effective_sample_size(run.chain(0).parameter(p));

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bayes_srm.hpp"
+#include "core/likelihood.hpp"
 #include "core/model_family.hpp"
 #include "data/datasets.hpp"
 #include "mcmc/gibbs.hpp"
@@ -97,24 +98,28 @@ TEST(SizeBiased, SharesThePoissonStateLayout) {
   EXPECT_EQ(model->state_size(), 4u);
 }
 
-TEST(SizeBiased, PointwiseRowMatchesAllocatingHelperBitwise) {
-  // The streaming scorers consume pointwise_row; the allocating helper is
-  // the reference. Same bits, day by day, and the log joint is finite.
+TEST(SizeBiased, PointwiseRowMatchesPerDayLikelihoodBitwise) {
+  // The streaming scorer consumes pointwise_row; the reference is the
+  // per-day binomial term over the model's detection probabilities. Same
+  // bits, day by day, and the log joint is finite.
   const auto data = srm::data::sys1_grouped();
   const auto built = size_biased_model(data);
   const auto& model = *built;
   srm::random::Rng rng(7);
   auto state = model.initial_state(rng);
   const auto workspace = model.make_workspace();
-  ASSERT_TRUE(model.is_scan_workspace(*workspace));
 
-  const auto reference = model.pointwise_log_likelihood(state);
   std::vector<double> row(data.days());
   model.pointwise_row(state, *workspace, row);
-  ASSERT_EQ(reference.size(), row.size());
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    EXPECT_EQ(row[i], reference[i]) << "day " << (i + 1);
-    EXPECT_TRUE(std::isfinite(row[i])) << "day " << (i + 1);
+  const auto probabilities = model.detection_probabilities(
+      std::span<const double>(state).subspan(model.zeta_offset()));
+  const std::int64_t initial_bugs =
+      data.total() + static_cast<std::int64_t>(std::llround(state[0]));
+  for (std::size_t day = 1; day <= data.days(); ++day) {
+    EXPECT_EQ(row[day - 1], srm::core::log_pointwise_likelihood(
+                                data, day, initial_bugs, probabilities))
+        << "day " << day;
+    EXPECT_TRUE(std::isfinite(row[day - 1])) << "day " << day;
   }
   EXPECT_TRUE(std::isfinite(model.log_joint(state)));
 }

@@ -1,6 +1,6 @@
-// Tests for the WAIC computation (Eqs 23-25): the estimator is checked
-// against a direct reimplementation on a hand-built McmcRun, and its scale
-// conventions are pinned down.
+// Tests for the WAIC computation (Eqs 23-25): the streaming scorer is fed
+// hand-built states and checked against a direct reimplementation, and its
+// scale conventions are pinned down.
 #include "core/waic.hpp"
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bayes_srm.hpp"
+#include "core/streaming.hpp"
 #include "data/bug_count_data.hpp"
 #include "support/error.hpp"
 #include "support/math.hpp"
@@ -21,12 +22,21 @@ using srm::data::BugCountData;
 
 BugCountData tiny_data() { return BugCountData("t", {1, 2, 0}); }
 
-// Builds a run holding the given states (single chain).
-srm::mcmc::McmcRun run_with_states(
-    const BayesianSrm& model, const std::vector<std::vector<double>>& states) {
-  srm::mcmc::McmcRun run(model.parameter_names(), 1);
-  for (const auto& s : states) run.chain(0).append(s);
-  return run;
+// Scores the given states as one chain's retained draws, the way the Gibbs
+// driver feeds the scorer (with the model's own scan workspace).
+core::WaicResult waic_of(const BayesianSrm& model,
+                         const std::vector<std::vector<double>>& states) {
+  core::StreamingScorer scorer(model, 1, states.size());
+  const auto workspace = model.make_workspace();
+  for (const auto& s : states) scorer.accumulate(0, s, workspace.get());
+  return scorer.waic();
+}
+
+std::vector<double> pointwise(const BayesianSrm& model,
+                              const std::vector<double>& state) {
+  std::vector<double> terms(model.data().days());
+  model.pointwise_row(state, *model.make_workspace(), terms);
+  return terms;
 }
 
 TEST(Waic, MatchesDirectComputation) {
@@ -35,14 +45,13 @@ TEST(Waic, MatchesDirectComputation) {
   // Hand-picked states: [residual, lambda0, mu].
   const std::vector<std::vector<double>> states{
       {2.0, 5.0, 0.3}, {4.0, 6.0, 0.25}, {1.0, 4.0, 0.35}, {3.0, 5.5, 0.28}};
-  const auto run = run_with_states(model, states);
-  const auto result = core::compute_waic(model, run);
+  const auto result = waic_of(model, states);
 
   // Direct recomputation.
   const std::size_t k = 3;
   std::vector<std::vector<double>> log_p(k);
   for (const auto& s : states) {
-    const auto terms = model.pointwise_log_likelihood(s);
+    const auto terms = pointwise(model, s);
     for (std::size_t i = 0; i < k; ++i) log_p[i].push_back(terms[i]);
   }
   double t_k = 0.0;
@@ -70,11 +79,10 @@ TEST(Waic, IdenticalSamplesHaveZeroFunctionalVariance) {
   const BayesianSrm model(core::PriorKind::kPoisson,
                           core::DetectionModelKind::kConstant, tiny_data());
   const std::vector<double> s{2.0, 5.0, 0.3};
-  const auto run = run_with_states(model, {s, s, s});
-  const auto result = core::compute_waic(model, run);
+  const auto result = waic_of(model, {s, s, s});
   EXPECT_NEAR(result.functional_variance, 0.0, 1e-12);
   // Learning loss reduces to the plain negative average log-likelihood.
-  const auto terms = model.pointwise_log_likelihood(s);
+  const auto terms = pointwise(model, s);
   double expected = 0.0;
   for (const double t : terms) expected -= t;
   expected /= 3.0;
@@ -85,29 +93,15 @@ TEST(Waic, BetterFitGivesSmallerWaic) {
   // mu = 0.3 explains {1,2,0} out of ~5 bugs far better than mu = 0.95.
   const BayesianSrm model(core::PriorKind::kPoisson,
                           core::DetectionModelKind::kConstant, tiny_data());
-  const auto good =
-      core::compute_waic(model, run_with_states(model, {{2.0, 5.0, 0.3},
-                                                        {3.0, 5.0, 0.31}}));
-  const auto bad =
-      core::compute_waic(model, run_with_states(model, {{2.0, 5.0, 0.95},
-                                                        {3.0, 5.0, 0.94}}));
+  const auto good = waic_of(model, {{2.0, 5.0, 0.3}, {3.0, 5.0, 0.31}});
+  const auto bad = waic_of(model, {{2.0, 5.0, 0.95}, {3.0, 5.0, 0.94}});
   EXPECT_LT(good.waic, bad.waic);
 }
 
 TEST(Waic, RequiresAtLeastTwoSamples) {
   const BayesianSrm model(core::PriorKind::kPoisson,
                           core::DetectionModelKind::kConstant, tiny_data());
-  const auto run = run_with_states(model, {{2.0, 5.0, 0.3}});
-  EXPECT_THROW(core::compute_waic(model, run), srm::InvalidArgument);
-}
-
-TEST(Waic, RejectsMismatchedRun) {
-  const BayesianSrm model(core::PriorKind::kPoisson,
-                          core::DetectionModelKind::kConstant, tiny_data());
-  srm::mcmc::McmcRun wrong({"a", "b", "c", "d"}, 1);
-  wrong.chain(0).append(std::vector<double>{1.0, 2.0, 3.0, 4.0});
-  wrong.chain(0).append(std::vector<double>{1.0, 2.0, 3.0, 4.0});
-  EXPECT_THROW(core::compute_waic(model, wrong), srm::InvalidArgument);
+  EXPECT_THROW(waic_of(model, {{2.0, 5.0, 0.3}}), srm::InvalidArgument);
 }
 
 }  // namespace

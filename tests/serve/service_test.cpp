@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "artifact/cell_store.hpp"
 #include "artifact/store.hpp"
 #include "report/sweep.hpp"
 #include "runtime/thread_pool.hpp"
@@ -123,6 +124,61 @@ TEST(ServeService, EvictedPosteriorIsReServedFromStoreByteIdentical) {
     EXPECT_EQ(response.line, body) << seed;
   }
   EXPECT_EQ(fresh.computed(), 0u);
+  fs::remove_all(dir);
+}
+
+TEST(ServeService, RefusedDiskCellFailsOnlyTheRequestsThatNeedIt) {
+  const auto dir = scratch("refused_cell");
+  std::string hash;
+  {
+    auto writer = make_service(8, dir);
+    const auto first = writer.handle_line(fit_line(1));
+    ASSERT_TRUE(first.ok) << first.line;
+    hash = Json::parse(first.line).at("hash").as_string();
+  }
+  const auto cell_path = dir / "cells" / (hash + ".json");
+  Json cell = Json::parse(srm::artifact::read_text_file(cell_path));
+
+  // A cell an older build wrote (schema 1), then one whose recorded hash
+  // disagrees with its file name: each request needing it gets an error
+  // line, the other lines of the batch are answered, and the service stays
+  // up for the next batch.
+  const std::pair<const char*, const char*> damages[] = {
+      {"schema_version", "has schema version 1, this build expects 2"},
+      {"hash", "the file was moved or corrupted"}};
+  for (const auto& [field, message] : damages) {
+    Json damaged = cell;
+    if (std::string(field) == "schema_version") {
+      damaged.set("schema_version", 1);
+    } else {
+      damaged.set("hash", std::string(64, '0'));
+    }
+    srm::artifact::write_file_atomic(cell_path, damaged.dump(2));
+
+    auto service = make_service(8, dir);
+    const auto responses = service.handle_batch(
+        {fit_line(1), fit_line(2), fit_line(1), R"({"op":"stats"})"});
+    ASSERT_EQ(responses.size(), 4u);
+    for (const std::size_t refused : {0u, 2u}) {
+      EXPECT_FALSE(responses[refused].ok) << field;
+      const Json error = Json::parse(responses[refused].line);
+      EXPECT_NE(error.at("error").as_string().find(message),
+                std::string::npos)
+          << responses[refused].line;
+    }
+    EXPECT_TRUE(responses[1].ok) << responses[1].line;
+    EXPECT_EQ(responses[1].cache_tag, "computed");
+    EXPECT_TRUE(responses[3].ok) << responses[3].line;
+
+    const auto again = service.handle_line(fit_line(1));
+    EXPECT_FALSE(again.ok) << field;
+    EXPECT_TRUE(service.handle_line(R"({"op":"stats"})").ok) << field;
+    EXPECT_FALSE(service.shutdown_requested());
+    fs::remove(dir / "cells" / (Json::parse(responses[1].line)
+                                    .at("hash")
+                                    .as_string() +
+                                ".json"));
+  }
   fs::remove_all(dir);
 }
 
